@@ -10,7 +10,6 @@
 #include "runtime/locale_grid.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/spa.hpp"
-#include "util/sorting.hpp"
 
 namespace pgb {
 
@@ -40,12 +39,10 @@ Csr<T> mxm_local(LocaleCtx& ctx, const Csr<T>& a, const Csr<T>& b,
       }
       flops += static_cast<double>(bcols.size());
     }
-    std::vector<Index>& nz = spa.nzinds();
-    merge_sort(nz);
-    for (Index j : nz) {
+    spa.for_each_sorted([&](Index j, const T& v) {
       colids.push_back(j);
-      vals.push_back(spa.value(j));
-    }
+      vals.push_back(v);
+    });
     rowptr[static_cast<std::size_t>(i) + 1] =
         static_cast<Index>(colids.size());
     spa.reset();

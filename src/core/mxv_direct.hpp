@@ -314,22 +314,8 @@ DistSparseVec<T> mxv_direct(const DistCsr<TA>& a,
     }
   });
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    const int o = ctx.locale();
-    auto& spa = yspa[static_cast<std::size_t>(o)];
-    std::vector<Index>& nz = spa.nzinds();
-    merge_sort(nz);
-    std::vector<Index> idx(nz.begin(), nz.end());
-    std::vector<T> val;
-    val.reserve(idx.size());
-    for (Index j : idx) val.push_back(spa.value(j));
-    CostVector c;
-    c.add(CostKind::kStreamBytes,
-          1.0 * static_cast<double>(y.dist().local_size(o)) +
-              24.0 * static_cast<double>(idx.size()));
-    c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(idx.size()));
-    ctx.parallel_region(c);
-    y.local(o) = SparseVec<T>::from_sorted(y.dist().local_size(o),
-                                           std::move(idx), std::move(val));
+    detail::finalize_owner(ctx, yspa[static_cast<std::size_t>(ctx.locale())],
+                           y, nullptr, MaskMode::kNone);
   });
   scatter_span.end();
   grid.trace().add("scatter", grid.time() - t0);

@@ -4,10 +4,14 @@
 // Shared memory (spmspv_shm): the SPA algorithm of Gilbert-Moler-Schreiber:
 //   1. SPA:    for every nonzero x[r], merge row A[r,:] into the sparse
 //              accumulator (dense values + isthere flags + nzinds list);
-//   2. Sort:   sort the accumulated output indices (Chapel merge sort by
-//              default — the step the paper finds dominant — or the radix
-//              sort it suggests as future work);
-//   3. Output: build the sorted output vector from the SPA.
+//   2. Sort:   charge the modeled machine for sorting the accumulated
+//              output indices (Chapel merge sort by default — the step
+//              the paper finds dominant — or the radix sort it suggests
+//              as future work). SortAlgo picks which; the host sorts
+//              nothing here;
+//   3. Output: build the sorted output vector from the SPA. The host
+//              emits the indices in order from the isthere bitmap
+//              (Spa::for_each_sorted) instead of sorting them.
 //
 // Distributed memory (spmspv_dist), on the 2-D block distribution:
 //   1. Gather:  every locale (R, C) assembles the x entries for row-block
@@ -36,10 +40,13 @@
 #include "sparse/dist_dense_vec.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 #include "sparse/spa.hpp"
-#include "util/sorting.hpp"
 
 namespace pgb {
 
+/// Which sort of the SPA's touched indices the modeled machine pays for.
+/// The host never runs either: it emits the indices in order from the
+/// SPA's isthere bitmap (Spa::for_each_sorted), so results are the same
+/// under both and only the modeled sort time differs.
 enum class SortAlgo {
   kMerge,  ///< Chapel's parallel merge sort (paper default)
   kRadix,  ///< LSD radix sort (paper's suggested improvement [9])
@@ -98,8 +105,65 @@ struct SpmspvOptions {
   }
 };
 
-
 namespace detail {
+
+/// Charges the modeled sort of `nnz` SPA indices below `max_value`.
+/// Final merge passes limit parallelism: ~8% of the sort is serial.
+inline void charge_spa_sort(LocaleCtx& ctx, SortAlgo algo, Index nnz,
+                            Index max_value) {
+  const CostVector sc = algo == SortAlgo::kMerge
+                            ? merge_sort_cost(nnz)
+                            : radix_sort_cost(nnz, max_value);
+  ctx.parallel_region(sc.scaled(0.92));
+  ctx.serial_region(sc.scaled(0.08));
+}
+
+/// The SPA's entries whose index passes `keep`, in index order, as a
+/// vector of `capacity`.
+template <typename T, typename Keep>
+SparseVec<T> spa_to_sparse_vec(const Spa<T>& spa, Index capacity, Keep keep) {
+  std::vector<Index> idx;
+  std::vector<T> val;
+  idx.reserve(static_cast<std::size_t>(spa.nnz()));
+  val.reserve(static_cast<std::size_t>(spa.nnz()));
+  spa.for_each_sorted([&](Index j, const T& v) {
+    if (!keep(j)) return;
+    idx.push_back(j);
+    val.push_back(v);
+  });
+  return SparseVec<T>::from_sorted(capacity, std::move(idx), std::move(val));
+}
+
+template <typename T>
+SparseVec<T> spa_to_sparse_vec(const Spa<T>& spa, Index capacity) {
+  return spa_to_sparse_vec(spa, capacity, [](Index) { return true; });
+}
+
+/// Owner-side finalize of a distributed SpMSpV (the paper's denseToSparse
+/// scan): emits output owner o's SPA in index order into y.local(o),
+/// dropping entries that fail `mask`. The solo, fused and transpose-free
+/// SpMSpV paths all finalize here, so their outputs are byte-identical.
+template <typename T>
+void finalize_owner(LocaleCtx& ctx, const Spa<T>& spa, DistSparseVec<T>& y,
+                    const DistDenseVec<std::uint8_t>* mask,
+                    MaskMode mask_mode) {
+  const int o = ctx.locale();
+  const bool filter = mask != nullptr && mask_mode != MaskMode::kNone;
+  y.local(o) = spa_to_sparse_vec(spa, y.dist().local_size(o), [&](Index j) {
+    return !filter ||
+           (mask->local(o)[j] != 0) == (mask_mode == MaskMode::kMask);
+  });
+  const auto kept = static_cast<double>(y.local(o).nnz());
+  CostVector c;
+  if (mask != nullptr) {
+    c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(spa.nnz()));
+  }
+  c.add(CostKind::kStreamBytes,
+        1.0 * static_cast<double>(y.dist().local_size(o)));
+  c.add(CostKind::kStreamBytes, 24.0 * kept);
+  c.add(CostKind::kCpuOps, 8.0 * kept);
+  ctx.parallel_region(c);
+}
 
 /// Bucket SpMSpV (SpmspvAlgo::kBucket). Buckets are sized to stay
 /// cache-resident (~4K columns each); routing is a streaming pass and
@@ -256,31 +320,17 @@ SparseVec<T> spmspv_shm(LocaleCtx& ctx, const Csr<TA>& a, Index row_lo,
   spa_span.end();
   if (trace) trace->add("spa", ctx.clock().now() - t0);
 
-  // ---- Step 2: sort the output indices ----
+  // ---- Step 2: sort the output indices (modeled only) ----
   obs::LocaleSpan sort_span(ctx, "spmspv.sort");
   t0 = ctx.clock().now();
-  std::vector<Index>& nzinds = spa.nzinds();
-  const CostVector sc = opt.sort == SortAlgo::kMerge
-                            ? merge_sort_cost(out_nnz)
-                            : radix_sort_cost(out_nnz, col_hi);
-  if (opt.sort == SortAlgo::kMerge) {
-    merge_sort(nzinds);
-  } else {
-    radix_sort(nzinds);
-  }
-  // Final merge passes limit parallelism: ~8% of the sort is serial.
-  ctx.parallel_region(sc.scaled(0.92));
-  ctx.serial_region(sc.scaled(0.08));
+  detail::charge_spa_sort(ctx, opt.sort, out_nnz, col_hi);
   sort_span.end();
   if (trace) trace->add("sort", ctx.clock().now() - t0);
 
   // ---- Step 3: populate the output vector ----
   obs::LocaleSpan output_span(ctx, "spmspv.output");
   t0 = ctx.clock().now();
-  std::vector<Index> idx(nzinds.begin(), nzinds.end());
-  std::vector<T> val;
-  val.reserve(idx.size());
-  for (Index j : idx) val.push_back(spa.value(j));
+  SparseVec<T> y = detail::spa_to_sparse_vec(spa, col_hi - col_lo);
   {
     CostVector c;
     c.add(CostKind::kCpuOps, kSpmspvOutputOps * static_cast<double>(out_nnz));
@@ -289,9 +339,7 @@ SparseVec<T> spmspv_shm(LocaleCtx& ctx, const Csr<TA>& a, Index row_lo,
     ctx.parallel_region(c);
   }
   if (trace) trace->add("output", ctx.clock().now() - t0);
-
-  return SparseVec<T>::from_sorted(col_hi - col_lo, std::move(idx),
-                                   std::move(val));
+  return y;
 }
 
 /// Distributed SpMSpV: y <- x A over the 2-D block distribution.
@@ -686,36 +734,8 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     }
     grid.barrier_all();
   }
-  // Finalize: every output owner converts its dense accumulator to the
-  // sparse result (the paper's denseToSparse scan).
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    const int o = ctx.locale();
-    auto& spa = yspa[o];
-    std::vector<Index>& nz = spa.nzinds();
-    merge_sort(nz);
-    std::vector<Index> idx;
-    std::vector<T> val;
-    idx.reserve(nz.size());
-    val.reserve(nz.size());
-    for (Index j : nz) {
-      if (mask != nullptr && mask_mode != MaskMode::kNone) {
-        const bool set = mask->local(o)[j] != 0;
-        if (mask_mode == MaskMode::kMask ? !set : set) continue;
-      }
-      idx.push_back(j);
-      val.push_back(spa.value(j));
-    }
-    CostVector c;
-    if (mask != nullptr) {
-      c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(nz.size()));
-    }
-    c.add(CostKind::kStreamBytes,
-          1.0 * static_cast<double>(y.dist().local_size(o)));
-    c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(idx.size()));
-    c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(idx.size()));
-    ctx.parallel_region(c);
-    y.local(o) = SparseVec<T>::from_sorted(y.dist().local_size(o),
-                                           std::move(idx), std::move(val));
+    finalize_owner(ctx, yspa[ctx.locale()], y, mask, mask_mode);
   });
   scatter_span.end();
   {

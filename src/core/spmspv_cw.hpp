@@ -67,24 +67,11 @@ SparseVec<T> spmspv_columnwise(LocaleCtx& ctx, const Csc<TA>& a,
   if (trace) trace->add("spa", ctx.clock().now() - t0);
 
   t0 = ctx.clock().now();
-  std::vector<Index>& nzinds = spa.nzinds();
-  const CostVector sc = opt.sort == SortAlgo::kMerge
-                            ? merge_sort_cost(out_nnz)
-                            : radix_sort_cost(out_nnz, row_hi);
-  if (opt.sort == SortAlgo::kMerge) {
-    merge_sort(nzinds);
-  } else {
-    radix_sort(nzinds);
-  }
-  ctx.parallel_region(sc.scaled(0.92));
-  ctx.serial_region(sc.scaled(0.08));
+  detail::charge_spa_sort(ctx, opt.sort, out_nnz, row_hi);
   if (trace) trace->add("sort", ctx.clock().now() - t0);
 
   t0 = ctx.clock().now();
-  std::vector<Index> idx(nzinds.begin(), nzinds.end());
-  std::vector<T> val;
-  val.reserve(idx.size());
-  for (Index j : idx) val.push_back(spa.value(j));
+  SparseVec<T> y = detail::spa_to_sparse_vec(spa, row_hi - row_lo);
   {
     CostVector c;
     c.add(CostKind::kCpuOps, kSpmspvOutputOps * static_cast<double>(out_nnz));
@@ -93,9 +80,7 @@ SparseVec<T> spmspv_columnwise(LocaleCtx& ctx, const Csc<TA>& a,
     ctx.parallel_region(c);
   }
   if (trace) trace->add("output", ctx.clock().now() - t0);
-
-  return SparseVec<T>::from_sorted(row_hi - row_lo, std::move(idx),
-                                   std::move(val));
+  return y;
 }
 
 }  // namespace pgb

@@ -37,7 +37,6 @@
 #include "sparse/dist_dense_vec.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 #include "sparse/spa.hpp"
-#include "util/sorting.hpp"
 
 namespace pgb {
 
@@ -357,39 +356,14 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
       }
     }
   });
-  // Finalize each lane at its owners — the exact solo denseToSparse scan
-  // (same sort, same mask filter), hence byte-identical lane outputs.
+  // Finalize each lane at its owners with the solo finalize, hence
+  // byte-identical lane outputs.
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    const int o = ctx.locale();
     for (int q = 0; q < k; ++q) {
-      const DistDenseVec<std::uint8_t>* mask =
-          masks.empty() ? nullptr : masks[static_cast<std::size_t>(q)];
-      auto& spa = yspa[q][o];
-      std::vector<Index>& nz = spa.nzinds();
-      merge_sort(nz);
-      std::vector<Index> idx;
-      std::vector<T> val;
-      idx.reserve(nz.size());
-      val.reserve(nz.size());
-      for (Index j : nz) {
-        if (mask != nullptr && mask_mode != MaskMode::kNone) {
-          const bool set = mask->local(o)[j] != 0;
-          if (mask_mode == MaskMode::kMask ? !set : set) continue;
-        }
-        idx.push_back(j);
-        val.push_back(spa.value(j));
-      }
-      CostVector c;
-      if (mask != nullptr) {
-        c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(nz.size()));
-      }
-      c.add(CostKind::kStreamBytes,
-            1.0 * static_cast<double>(y[q].dist().local_size(o)));
-      c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(idx.size()));
-      c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(idx.size()));
-      ctx.parallel_region(c);
-      y[q].local(o) = SparseVec<T>::from_sorted(
-          y[q].dist().local_size(o), std::move(idx), std::move(val));
+      detail::finalize_owner(
+          ctx, yspa[q][ctx.locale()], y[q],
+          masks.empty() ? nullptr : masks[static_cast<std::size_t>(q)],
+          mask_mode);
     }
   });
   scatter_span.end();

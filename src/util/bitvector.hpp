@@ -1,6 +1,7 @@
 // Compact bit vector used for SPA "isthere" flags and visited sets.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -37,6 +38,23 @@ class BitVector {
   }
 
   void reset_all() { std::fill(words_.begin(), words_.end(), 0); }
+
+  /// Calls f(i) for every set bit i in ascending order, one 64-bit word
+  /// at a time. Bits at or past size() are never set, so the tail of the
+  /// last word needs no masking.
+  template <typename F>
+  void for_each_set(F f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      const std::int64_t base = static_cast<std::int64_t>(w) << 6;
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        f(base + std::countr_zero(bits));
+      }
+    }
+  }
+
+  std::int64_t num_words() const {
+    return static_cast<std::int64_t>(words_.size());
+  }
 
   std::int64_t popcount() const {
     std::int64_t c = 0;

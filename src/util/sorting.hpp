@@ -2,14 +2,16 @@
 //
 // The paper's SpMSpV sorts the SPA's nonzero index list with Chapel's
 // parallel merge sort and observes that sorting dominates; it suggests an
-// integer radix sort would be cheaper. Both are implemented here so the
-// ablation bench (abl_spmspv_sort) can compare them. These routines do the
-// real work; the *parallel time* each would take on the modeled machine is
-// charged by the caller via pgb::machine cost formulas, keeping algorithm
-// and performance model in one place per kernel.
+// integer radix sort would be cheaper. SpMSpV charges the modeled machine
+// for either (SortAlgo, via merge_sort_cost / radix_sort_cost), but the
+// host runs neither on a SPA: Spa::for_each_sorted emits the indices in
+// order from the isthere bitmap. merge_sort and radix_sort stay here as
+// host kernels that micro_kernels times and test_util checks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -45,23 +47,11 @@ template <typename T>
 void sort_pairs_by_index(std::vector<std::int64_t>& idx, std::vector<T>& val) {
   const std::size_t n = idx.size();
   std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  // Stable sort of the permutation by key; then apply to both arrays.
-  std::vector<std::size_t> tmp(n);
-  // bottom-up merge on perm
-  for (std::size_t width = 1; width < n; width *= 2) {
-    for (std::size_t lo = 0; lo < n; lo += 2 * width) {
-      const std::size_t mid = std::min(lo + width, n);
-      const std::size_t hi = std::min(lo + 2 * width, n);
-      std::size_t i = lo, j = mid, k = lo;
-      while (i < mid && j < hi) {
-        tmp[k++] = (idx[perm[j]] < idx[perm[i]]) ? perm[j++] : perm[i++];
-      }
-      while (i < mid) tmp[k++] = perm[i++];
-      while (j < hi) tmp[k++] = perm[j++];
-      for (std::size_t t = lo; t < hi; ++t) perm[t] = tmp[t];
-    }
-  }
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::stable_sort(perm.begin(), perm.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return idx[a] < idx[b];
+                   });
   std::vector<std::int64_t> idx2(n);
   std::vector<T> val2(n);
   for (std::size_t i = 0; i < n; ++i) {

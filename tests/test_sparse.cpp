@@ -2,6 +2,10 @@
 // DenseVec, CSR, COO->CSR construction, and the sparse accumulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dense_vec.hpp"
@@ -181,6 +185,92 @@ TEST(Spa, ResetOnlyClearsTouched) {
   // Reusable after reset.
   spa.accumulate(7, 5, add);
   EXPECT_EQ(spa.value(7), 5);
+}
+
+// ---- SpaEmission: for_each_sorted is the only ordered read of a SPA ----
+
+// Touches `k` seeded random indices of spa's range (with repeats) and
+// returns the expected sums per index.
+std::map<Index, double> touch_random(Spa<double>& spa, Index k,
+                                     std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<Index> pick(spa.lo(), spa.hi() - 1);
+  std::map<Index, double> want;
+  const auto add = [](double a, double b) { return a + b; };
+  for (Index t = 0; t < k; ++t) {
+    const Index i = pick(rng);
+    const double v = static_cast<double>(t % 7) + 0.5;
+    spa.accumulate(i, v, add);
+    want[i] += v;
+  }
+  return want;
+}
+
+// Checks the emission equals std::sort of the touched set, values included.
+void expect_emits(const Spa<double>& spa, const std::map<Index, double>& want) {
+  std::vector<Index> sorted(spa.nzinds().begin(), spa.nzinds().end());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<Index> got_idx;
+  std::vector<double> got_val;
+  spa.for_each_sorted([&](Index i, const double& v) {
+    got_idx.push_back(i);
+    got_val.push_back(v);
+  });
+  ASSERT_EQ(got_idx, sorted);
+  ASSERT_EQ(static_cast<Index>(got_idx.size()), spa.nnz());
+  ASSERT_EQ(got_idx.size(), want.size());
+  std::size_t p = 0;
+  for (const auto& [i, v] : want) {
+    EXPECT_EQ(got_idx[p], i);
+    EXPECT_EQ(got_val[p], v);
+    ++p;
+  }
+}
+
+TEST(SpaEmission, RandomTouchPatternsMatchSortedSet) {
+  // Ranges off a multiple of 64, shifted lo, from one touch to every
+  // index, so both the bitmap scan and the sort fallback run.
+  std::uint64_t seed = 1;
+  for (Index lo : {Index{0}, Index{37}, Index{1} << 20}) {
+    for (Index range : {Index{1}, Index{63}, Index{65}, Index{1000},
+                        Index{4097}, Index{100003}}) {
+      for (Index k : {Index{1}, Index{2}, range / 100, range / 8, range,
+                      4 * range}) {
+        if (k < 1) continue;
+        Spa<double> spa(lo, lo + range);
+        const auto want = touch_random(spa, k, seed++);
+        SCOPED_TRACE(::testing::Message()
+                     << "lo=" << lo << " range=" << range << " k=" << k);
+        expect_emits(spa, want);
+      }
+    }
+  }
+}
+
+TEST(SpaEmission, FullRangeEmitsEveryIndex) {
+  Spa<double> spa(5, 5 + 130);
+  std::map<Index, double> want;
+  const auto add = [](double a, double b) { return a + b; };
+  for (Index i = spa.hi() - 1; i >= spa.lo(); --i) {
+    spa.accumulate(i, static_cast<double>(i), add);
+    want[i] = static_cast<double>(i);
+  }
+  expect_emits(spa, want);
+}
+
+TEST(SpaEmission, ReuseAcrossResetLikeMxmRows) {
+  // mxm reuses one SPA per row: every row's emission must see only that
+  // row's touches, whichever of scan or sort it takes.
+  Spa<double> spa(64, 64 + 5000);
+  std::uint64_t seed = 100;
+  for (Index k : {Index{3}, Index{4000}, Index{1}, Index{20000}, Index{50},
+                  Index{0}, Index{700}}) {
+    const auto want = touch_random(spa, k, seed++);
+    expect_emits(spa, want);
+    spa.reset();
+    EXPECT_EQ(spa.nnz(), 0);
+  }
+  spa.for_each_sorted([](Index, const double&) { FAIL(); });
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // grid shapes and option combinations, and the Fig 7-9 modeled shapes.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -104,6 +105,37 @@ TEST(SpmspvShm, OutputSortedAndInRange) {
   for (Index p = 0; p < y.nnz(); ++p) {
     EXPECT_GE(y.index_at(p), 0);
     EXPECT_LT(y.index_at(p), n);
+  }
+}
+
+TEST(SpmspvShm, MergeAndRadixGiveByteIdenticalVectors) {
+  // SortAlgo only picks the modeled sort cost; the host emission is the
+  // same, so the vectors must match to the byte.
+  const Index n = 5000;
+  auto a = erdos_renyi_csr<std::int64_t>(n, 12.0, 3);
+  for (Index nx : {Index{1}, Index{40}, Index{2000}}) {
+    auto x = random_sparse_vec<std::int64_t>(n, nx, 9);
+    auto run = [&](SortAlgo s) {
+      auto grid = LocaleGrid::single(4);
+      LocaleCtx ctx(grid, 0);
+      SpmspvOptions opt;
+      opt.sort = s;
+      return spmspv_shm(ctx, a, 0, x, 0, n,
+                        arithmetic_semiring<std::int64_t>(), opt);
+    };
+    const auto ym = run(SortAlgo::kMerge);
+    const auto yr = run(SortAlgo::kRadix);
+    ASSERT_GT(ym.nnz(), 0);
+    ASSERT_EQ(ym.capacity(), yr.capacity());
+    const auto im = ym.domain().indices();
+    const auto ir = yr.domain().indices();
+    ASSERT_EQ(im.size(), ir.size());
+    EXPECT_EQ(std::memcmp(im.data(), ir.data(), im.size_bytes()), 0);
+    const auto vm = ym.values();
+    const auto vr = yr.values();
+    ASSERT_EQ(vm.size(), vr.size());
+    EXPECT_EQ(std::memcmp(vm.data(), vr.data(), vm.size_bytes()), 0);
+    EXPECT_TRUE(is_sorted_ascending(im));
   }
 }
 
