@@ -166,7 +166,8 @@ int main(int argc, char** argv) {
     {
       grid.reset();
       RecoveryReport rs;
-      const BfsResult res = bfs_with_rebuild(a, 0, {}, nullptr, {}, &rs);
+      const BfsResult res =
+          bfs_with_rebuild(a, {0}, {}, nullptr, {}, &rs)[0];
       repl = record("replication", same_result(res, bfs_base), bfs_time, &rs);
     }
 

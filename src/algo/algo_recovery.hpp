@@ -3,7 +3,10 @@
 // machines (bfs.hpp, sssp.hpp, pagerank.hpp).
 //
 // Each algorithm has one loop *builder* (the serialization contract:
-// which blocks make up its state) shared by two drivers:
+// which blocks make up its state). BFS and SSSP loops step a vector of
+// lanes — one per source, k = 1 for a solo query — so the same builder
+// serves the solo wrappers and the service executor's fused batches. The
+// builders are shared by two drivers:
 //
 //   *_with_recovery  checkpoint rollback to a stable store
 //                    (fault/recovery.hpp) — restores everyone, replays
@@ -19,6 +22,10 @@
 // lost rounds over bit-identical inputs, so the recovered result is
 // bit-for-bit the fault-free result.
 #pragma once
+
+#include <span>
+#include <string>
+#include <vector>
 
 #include "algo/bfs.hpp"
 #include "algo/pagerank.hpp"
@@ -40,62 +47,32 @@ std::int64_t matrix_static_bytes(const DistCsr<T>& a) {
 // -- loop builders (the per-algorithm snapshot contracts) ----------------
 // The matrix is captured by pointer: it must outlive the returned loop
 // (every caller runs the loop inside the scope that owns the matrix).
+// BFS and SSSP snapshots hold only per-lane blocks under lane-indexed
+// keys ("bfs.<q>.visited", ...); the loader knows the width from the
+// sources, so a rebuild mid-batch restores every lane and the fused wave
+// replays bit-identical to the fault-free run.
 
 template <typename T>
-RecoverableLoop<BfsState<T>> bfs_recovery_loop(const DistCsr<T>& a,
-                                               Index source,
-                                               const SpmspvOptions& opt) {
-  auto* ap = &a;
-  auto& grid = a.grid();
-  const Index n = a.nrows();
-  RecoverableLoop<BfsState<T>> loop;
-  loop.init = [ap, source] { return bfs_init(*ap, source); };
-  loop.step = [ap, opt](BfsState<T>& st) { bfs_step(*ap, st, opt); };
-  loop.done = [](const BfsState<T>& st) { return st.done; };
-  loop.save = [](const BfsState<T>& st, Checkpoint& c) {
-    c.put_dense("bfs.visited", st.visited);
-    c.put_sparse("bfs.frontier", st.frontier);
-    c.put_host("bfs.parent", st.res.parent);
-    c.put_host("bfs.level_sizes", st.res.level_sizes);
-    c.put_scalar("bfs.level", st.level);
-    c.put_scalar("bfs.done", st.done);
-  };
-  loop.load = [&grid, n](const Checkpoint& c) {
-    BfsState<T> st{DistDenseVec<std::uint8_t>(grid, n, 0),
-                   DistSparseVec<T>(grid, n), {}, 0, false};
-    c.get_dense("bfs.visited", st.visited);
-    c.get_sparse("bfs.frontier", st.frontier);
-    st.res.parent = c.get_host<Index>("bfs.parent");
-    st.res.level_sizes = c.get_host<Index>("bfs.level_sizes");
-    st.level = c.get_scalar<Index>("bfs.level");
-    st.done = c.get_scalar<bool>("bfs.done");
-    return st;
-  };
-  return loop;
-}
-
-/// Batched-BFS snapshot contract: the per-lane blocks under lane-indexed
-/// keys ("bfsb.<q>.visited", ...) plus the batch width, so a rebuild
-/// mid-batch restores every lane and the fused wave replays bit-identical
-/// to the fault-free batch.
-template <typename T>
-RecoverableLoop<BfsBatchState<T>> bfs_batch_recovery_loop(
+RecoverableLoop<std::vector<BfsState<T>>> bfs_loop(
     const DistCsr<T>& a, const std::vector<Index>& sources,
     const SpmspvOptions& opt) {
   auto* ap = &a;
   auto& grid = a.grid();
   const Index n = a.nrows();
-  RecoverableLoop<BfsBatchState<T>> loop;
-  loop.init = [ap, sources] { return bfs_batch_init(*ap, sources); };
-  loop.step = [ap, opt](BfsBatchState<T>& st) { bfs_batch_step(*ap, st, opt); };
-  loop.done = [](const BfsBatchState<T>& st) { return st.done; };
-  loop.save = [](const BfsBatchState<T>& st, Checkpoint& c) {
-    c.put_scalar("bfsb.width",
-                 static_cast<Index>(st.lanes.size()));
-    c.put_scalar("bfsb.done", st.done);
-    for (std::size_t q = 0; q < st.lanes.size(); ++q) {
-      const auto& ln = st.lanes[q];
-      const std::string p = "bfsb." + std::to_string(q) + ".";
+  const std::size_t width = sources.size();
+  RecoverableLoop<std::vector<BfsState<T>>> loop;
+  loop.init = [ap, sources] { return bfs_init(*ap, sources); };
+  loop.step = [ap, opt](std::vector<BfsState<T>>& st) {
+    bfs_step(*ap, std::span(st), opt);
+  };
+  loop.done = [](const std::vector<BfsState<T>>& st) {
+    return std::all_of(st.begin(), st.end(),
+                       [](const BfsState<T>& ln) { return ln.done; });
+  };
+  loop.save = [](const std::vector<BfsState<T>>& st, Checkpoint& c) {
+    for (std::size_t q = 0; q < st.size(); ++q) {
+      const auto& ln = st[q];
+      const std::string p = "bfs." + std::to_string(q) + ".";
       c.put_dense(p + "visited", ln.visited);
       c.put_sparse(p + "frontier", ln.frontier);
       c.put_host(p + "parent", ln.res.parent);
@@ -104,13 +81,11 @@ RecoverableLoop<BfsBatchState<T>> bfs_batch_recovery_loop(
       c.put_scalar(p + "done", ln.done);
     }
   };
-  loop.load = [&grid, n](const Checkpoint& c) {
-    BfsBatchState<T> st;
-    const auto width = c.get_scalar<Index>("bfsb.width");
-    st.done = c.get_scalar<bool>("bfsb.done");
-    st.lanes.reserve(static_cast<std::size_t>(width));
-    for (Index q = 0; q < width; ++q) {
-      const std::string p = "bfsb." + std::to_string(q) + ".";
+  loop.load = [&grid, n, width](const Checkpoint& c) {
+    std::vector<BfsState<T>> st;
+    st.reserve(width);
+    for (std::size_t q = 0; q < width; ++q) {
+      const std::string p = "bfs." + std::to_string(q) + ".";
       BfsState<T> ln{DistDenseVec<std::uint8_t>(grid, n, 0),
                      DistSparseVec<T>(grid, n), {}, 0, false};
       c.get_dense(p + "visited", ln.visited);
@@ -119,54 +94,52 @@ RecoverableLoop<BfsBatchState<T>> bfs_batch_recovery_loop(
       ln.res.level_sizes = c.get_host<Index>(p + "level_sizes");
       ln.level = c.get_scalar<Index>(p + "level");
       ln.done = c.get_scalar<bool>(p + "done");
-      st.lanes.push_back(std::move(ln));
+      st.push_back(std::move(ln));
     }
     return st;
   };
   return loop;
 }
 
-/// Batched-SSSP snapshot contract, mirroring bfs_batch_recovery_loop:
-/// per-lane blocks under "ssspb.<q>." keys plus the batch width, so a
-/// kill mid-batch rebuilds every lane and the fused relaxation wave
-/// replays bit-identical to the fault-free batch.
 template <typename T>
-RecoverableLoop<SsspBatchState> sssp_batch_recovery_loop(
+RecoverableLoop<std::vector<SsspState>> sssp_loop(
     const DistCsr<T>& a, const std::vector<Index>& sources,
     const SpmspvOptions& opt) {
   auto* ap = &a;
   auto& grid = a.grid();
   const Index n = a.nrows();
-  RecoverableLoop<SsspBatchState> loop;
-  loop.init = [ap, sources] { return sssp_batch_init(*ap, sources); };
-  loop.step = [ap, opt](SsspBatchState& st) { sssp_batch_step(*ap, st, opt); };
-  loop.done = [](const SsspBatchState& st) { return st.done; };
-  loop.save = [](const SsspBatchState& st, Checkpoint& c) {
-    c.put_scalar("ssspb.width", static_cast<Index>(st.lanes.size()));
-    c.put_scalar("ssspb.done", st.done);
-    for (std::size_t q = 0; q < st.lanes.size(); ++q) {
-      const auto& ln = st.lanes[q];
-      const std::string p = "ssspb." + std::to_string(q) + ".";
+  const std::size_t width = sources.size();
+  RecoverableLoop<std::vector<SsspState>> loop;
+  loop.init = [ap, sources] { return sssp_init(*ap, sources); };
+  loop.step = [ap, opt](std::vector<SsspState>& st) {
+    sssp_step(*ap, std::span(st), opt);
+  };
+  loop.done = [](const std::vector<SsspState>& st) {
+    return std::all_of(st.begin(), st.end(),
+                       [](const SsspState& ln) { return ln.done; });
+  };
+  loop.save = [](const std::vector<SsspState>& st, Checkpoint& c) {
+    for (std::size_t q = 0; q < st.size(); ++q) {
+      const auto& ln = st[q];
+      const std::string p = "sssp." + std::to_string(q) + ".";
       c.put_dense(p + "dist", ln.dist);
       c.put_sparse(p + "frontier", ln.frontier);
       c.put_scalar(p + "rounds", ln.res.rounds);
       c.put_scalar(p + "done", ln.done);
     }
   };
-  loop.load = [&grid, n](const Checkpoint& c) {
-    SsspBatchState st;
-    const auto width = c.get_scalar<Index>("ssspb.width");
-    st.done = c.get_scalar<bool>("ssspb.done");
-    st.lanes.reserve(static_cast<std::size_t>(width));
-    for (Index q = 0; q < width; ++q) {
-      const std::string p = "ssspb." + std::to_string(q) + ".";
+  loop.load = [&grid, n, width](const Checkpoint& c) {
+    std::vector<SsspState> st;
+    st.reserve(width);
+    for (std::size_t q = 0; q < width; ++q) {
+      const std::string p = "sssp." + std::to_string(q) + ".";
       SsspState ln{DistDenseVec<double>(grid, n, SsspResult::kUnreachable),
                    DistSparseVec<double>(grid, n), {}, false};
       c.get_dense(p + "dist", ln.dist);
       c.get_sparse(p + "frontier", ln.frontier);
       ln.res.rounds = c.get_scalar<int>(p + "rounds");
       ln.done = c.get_scalar<bool>(p + "done");
-      st.lanes.push_back(std::move(ln));
+      st.push_back(std::move(ln));
     }
     return st;
   };
@@ -174,39 +147,9 @@ RecoverableLoop<SsspBatchState> sssp_batch_recovery_loop(
 }
 
 template <typename T>
-RecoverableLoop<SsspState> sssp_recovery_loop(const DistCsr<T>& a,
-                                              Index source,
-                                              const SpmspvOptions& opt) {
-  auto* ap = &a;
-  auto& grid = a.grid();
-  const Index n = a.nrows();
-  RecoverableLoop<SsspState> loop;
-  loop.init = [ap, source] { return sssp_init(*ap, source); };
-  loop.step = [ap, opt](SsspState& st) { sssp_step(*ap, st, opt); };
-  loop.done = [](const SsspState& st) { return st.done; };
-  loop.save = [](const SsspState& st, Checkpoint& c) {
-    c.put_dense("sssp.dist", st.dist);
-    c.put_sparse("sssp.frontier", st.frontier);
-    c.put_scalar("sssp.rounds", st.res.rounds);
-    c.put_scalar("sssp.done", st.done);
-  };
-  loop.load = [&grid, n](const Checkpoint& c) {
-    SsspState st{DistDenseVec<double>(grid, n, SsspResult::kUnreachable),
-                 DistSparseVec<double>(grid, n), {}, false};
-    c.get_dense("sssp.dist", st.dist);
-    c.get_sparse("sssp.frontier", st.frontier);
-    st.res.rounds = c.get_scalar<int>("sssp.rounds");
-    st.done = c.get_scalar<bool>("sssp.done");
-    return st;
-  };
-  return loop;
-}
-
-template <typename T>
-RecoverableLoop<PagerankState<T>> pagerank_recovery_loop(const DistCsr<T>& a,
-                                                         double damping,
-                                                         double tol,
-                                                         int max_iters) {
+RecoverableLoop<PagerankState<T>> pagerank_loop(const DistCsr<T>& a,
+                                                double damping, double tol,
+                                                int max_iters) {
   auto* ap = &a;
   auto& grid = a.grid();
   const Index n = a.nrows();
@@ -244,9 +187,9 @@ BfsResult bfs_with_recovery(const DistCsr<T>& a, Index source,
                             RecoveryOptions ropt = {},
                             RecoveryReport* report = nullptr) {
   if (ropt.static_bytes == 0) ropt.static_bytes = matrix_static_bytes(a);
-  BfsState<T> st = run_with_recovery(
-      a.grid(), plan, bfs_recovery_loop(a, source, opt), ropt, report);
-  return std::move(st.res);
+  auto st = run_with_recovery(a.grid(), plan, bfs_loop(a, {source}, opt),
+                              ropt, report);
+  return std::move(st.front().res);
 }
 
 template <typename T>
@@ -255,9 +198,9 @@ SsspResult sssp_with_recovery(const DistCsr<T>& a, Index source,
                               RecoveryOptions ropt = {},
                               RecoveryReport* report = nullptr) {
   if (ropt.static_bytes == 0) ropt.static_bytes = matrix_static_bytes(a);
-  SsspState st = run_with_recovery(
-      a.grid(), plan, sssp_recovery_loop(a, source, opt), ropt, report);
-  return sssp_finalize(st);
+  auto st = run_with_recovery(a.grid(), plan, sssp_loop(a, {source}, opt),
+                              ropt, report);
+  return sssp_finalize(st.front());
 }
 
 template <typename T>
@@ -268,76 +211,45 @@ PagerankResult pagerank_with_recovery(const DistCsr<T>& a, FaultPlan* plan,
                                       RecoveryReport* report = nullptr) {
   if (ropt.static_bytes == 0) ropt.static_bytes = matrix_static_bytes(a);
   PagerankState<T> st = run_with_recovery(
-      a.grid(), plan, pagerank_recovery_loop<T>(a, damping, tol, max_iters),
-      ropt, report);
+      a.grid(), plan, pagerank_loop<T>(a, damping, tol, max_iters), ropt,
+      report);
   return pagerank_finalize(st);
 }
 
 // -- localized-rebuild drivers -------------------------------------------
+// One call serves a solo query ({source}) and a fused batch alike: the
+// whole lane vector is replicated/rebuilt as one loop, and the recovered
+// per-lane results are bit-for-bit the fault-free ones (which are
+// themselves byte-identical to solo runs).
 
 template <typename T>
-BfsResult bfs_with_rebuild(const DistCsr<T>& a, Index source,
-                           const SpmspvOptions& opt, FaultPlan* plan,
-                           RebuildOptions ropt = {},
-                           RecoveryReport* report = nullptr) {
+std::vector<BfsResult> bfs_with_rebuild(const DistCsr<T>& a,
+                                        const std::vector<Index>& sources,
+                                        const SpmspvOptions& opt,
+                                        FaultPlan* plan,
+                                        RebuildOptions ropt = {},
+                                        RecoveryReport* report = nullptr) {
   if (ropt.replica.static_bytes == 0) {
     ropt.replica.static_bytes = matrix_static_bytes(a);
   }
-  BfsState<T> st = run_with_rebuild(
-      a.grid(), plan, bfs_recovery_loop(a, source, opt), ropt, report);
-  return std::move(st.res);
-}
-
-/// Kill-mid-batch recovery for the service executor's fused BFS batch:
-/// the whole batch state (every lane) is replicated/rebuilt as one loop,
-/// and the recovered per-lane results are bit-for-bit the fault-free
-/// batch's (which are themselves byte-identical to solo runs).
-template <typename T>
-std::vector<BfsResult> bfs_batch_with_rebuild(
-    const DistCsr<T>& a, const std::vector<Index>& sources,
-    const SpmspvOptions& opt, FaultPlan* plan, RebuildOptions ropt = {},
-    RecoveryReport* report = nullptr) {
-  if (ropt.replica.static_bytes == 0) {
-    ropt.replica.static_bytes = matrix_static_bytes(a);
-  }
-  BfsBatchState<T> st = run_with_rebuild(
-      a.grid(), plan, bfs_batch_recovery_loop(a, sources, opt), ropt, report);
-  std::vector<BfsResult> out;
-  out.reserve(st.lanes.size());
-  for (auto& ln : st.lanes) out.push_back(std::move(ln.res));
-  return out;
-}
-
-/// Kill-mid-batch recovery for the service executor's fused SSSP batch
-/// (same contract as bfs_batch_with_rebuild: the whole batch rebuilds as
-/// one loop, recovered lane distances are byte-identical to fault-free).
-template <typename T>
-std::vector<SsspResult> sssp_batch_with_rebuild(
-    const DistCsr<T>& a, const std::vector<Index>& sources,
-    const SpmspvOptions& opt, FaultPlan* plan, RebuildOptions ropt = {},
-    RecoveryReport* report = nullptr) {
-  if (ropt.replica.static_bytes == 0) {
-    ropt.replica.static_bytes = matrix_static_bytes(a);
-  }
-  SsspBatchState st = run_with_rebuild(
-      a.grid(), plan, sssp_batch_recovery_loop(a, sources, opt), ropt, report);
-  std::vector<SsspResult> out;
-  out.reserve(st.lanes.size());
-  for (auto& ln : st.lanes) out.push_back(sssp_finalize(ln));
-  return out;
+  auto st = run_with_rebuild(a.grid(), plan, bfs_loop(a, sources, opt), ropt,
+                             report);
+  return bfs_results(st);
 }
 
 template <typename T>
-SsspResult sssp_with_rebuild(const DistCsr<T>& a, Index source,
-                             const SpmspvOptions& opt, FaultPlan* plan,
-                             RebuildOptions ropt = {},
-                             RecoveryReport* report = nullptr) {
+std::vector<SsspResult> sssp_with_rebuild(const DistCsr<T>& a,
+                                          const std::vector<Index>& sources,
+                                          const SpmspvOptions& opt,
+                                          FaultPlan* plan,
+                                          RebuildOptions ropt = {},
+                                          RecoveryReport* report = nullptr) {
   if (ropt.replica.static_bytes == 0) {
     ropt.replica.static_bytes = matrix_static_bytes(a);
   }
-  SsspState st = run_with_rebuild(
-      a.grid(), plan, sssp_recovery_loop(a, source, opt), ropt, report);
-  return sssp_finalize(st);
+  auto st = run_with_rebuild(a.grid(), plan, sssp_loop(a, sources, opt), ropt,
+                             report);
+  return sssp_results(st);
 }
 
 template <typename T>
@@ -350,8 +262,8 @@ PagerankResult pagerank_with_rebuild(const DistCsr<T>& a, FaultPlan* plan,
     ropt.replica.static_bytes = matrix_static_bytes(a);
   }
   PagerankState<T> st = run_with_rebuild(
-      a.grid(), plan, pagerank_recovery_loop<T>(a, damping, tol, max_iters),
-      ropt, report);
+      a.grid(), plan, pagerank_loop<T>(a, damping, tol, max_iters), ropt,
+      report);
   return pagerank_finalize(st);
 }
 

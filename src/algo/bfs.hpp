@@ -8,8 +8,16 @@
 //     y  <- y filtered by NOT visited                (mask / eWiseMult)
 //     parents[y's indices] <- y's values             (Assign-style pass)
 //     visited |= y's pattern; frontier <- y
+//
+// The stepper runs k traversals in lockstep (the service front end's
+// fused batch): every active lane's frontier exchange rides one masked
+// SpMSpV wave of width k (core/spmspv.hpp), so the comm schedule is
+// priced and paid once per level instead of once per lane. A solo BFS is
+// the width-1 wave.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,7 +26,6 @@
 #include "core/mask.hpp"
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
-#include "core/spmspv_multi.hpp"
 #include "obs/span.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/dist_dense_vec.hpp"
@@ -34,10 +41,10 @@ struct BfsResult {
   std::vector<Index> level_sizes;
 };
 
-/// The loop state of one BFS traversal, exposed so the recovery driver
-/// (fault/recovery.hpp via algo/algo_recovery.hpp) can snapshot it
-/// between levels and rebuild it after a locale failure. `bfs()` below
-/// is exactly bfs_init + bfs_step-until-done.
+/// The loop state of one BFS traversal (one lane), exposed so the
+/// recovery driver (fault/recovery.hpp via algo/algo_recovery.hpp) can
+/// snapshot it between levels and rebuild it after a locale failure.
+/// `bfs()` below is exactly bfs_init + bfs_step-until-done.
 template <typename T>
 struct BfsState {
   DistDenseVec<std::uint8_t> visited;
@@ -67,60 +74,117 @@ BfsState<T> bfs_init(const DistCsr<T>& a, Index source) {
   return st;
 }
 
-/// Advances one BFS level; sets st.done when the traversal is finished.
+/// One lane per source: the state of k traversals stepped together.
 template <typename T>
-void bfs_step(const DistCsr<T>& a, BfsState<T>& st,
+std::vector<BfsState<T>> bfs_init(const DistCsr<T>& a,
+                                  const std::vector<Index>& sources) {
+  PGB_REQUIRE(!sources.empty(), "bfs: need at least one source");
+  std::vector<BfsState<T>> lanes;
+  lanes.reserve(sources.size());
+  for (Index s : sources) lanes.push_back(bfs_init(a, s));
+  return lanes;
+}
+
+/// Advances every active lane one level through one masked SpMSpV wave of
+/// width k = the number of active lanes. Each lane's data goes through
+/// exactly the width-1 transformations — same frontier values, same mask,
+/// same per-owner finalize — so every lane's BfsResult is byte-identical
+/// to a solo bfs() from its source. A lane retires in the level that
+/// finds no new vertex; returns true once every lane has retired, in the
+/// step that retires the last one.
+template <typename T>
+bool bfs_step(const DistCsr<T>& a, std::span<BfsState<T>> lanes,
               const SpmspvOptions& opt = {}) {
   auto& grid = a.grid();
-  if (st.frontier.nnz() == 0) {
-    st.done = true;
-    return;
+  std::vector<int> act;
+  Index frontier = 0;
+  for (int q = 0; q < static_cast<int>(lanes.size()); ++q) {
+    auto& ln = lanes[q];
+    if (ln.frontier.nnz() == 0) ln.done = true;
+    if (ln.done) continue;
+    act.push_back(q);
+    frontier += ln.frontier.nnz();
   }
-  ++st.level;
+  if (act.empty()) return true;
+  const Index level = lanes[act.front()].level + 1;  // lanes run in lockstep
   PGB_TRACE_SPAN(grid, "bfs.level",
-                 {{"level", std::to_string(st.level)},
-                  {"frontier", std::to_string(st.frontier.nnz())}});
+                 {{"level", std::to_string(level)},
+                  {"frontier", std::to_string(frontier)}});
   grid.metrics().counter("algo.iterations", {{"algo", "bfs"}}).inc();
+  obs::LaneLevelSpans lane_spans(grid);
+  for (int q : act) lane_spans.add(q, lanes[q].frontier.nnz());
+
   // Frontier values carry the discovering vertex: x[r] = r.
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    auto& lf = st.frontier.local(ctx.locale());
-    for (Index p = 0; p < lf.nnz(); ++p) {
-      lf.value_at(p) = static_cast<T>(lf.index_at(p));
+    for (int q : act) {
+      auto& lf = lanes[q].frontier.local(ctx.locale());
+      for (Index p = 0; p < lf.nnz(); ++p) {
+        lf.value_at(p) = static_cast<T>(lf.index_at(p));
+      }
+      CostVector c;
+      c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(lf.nnz()));
+      c.add(CostKind::kCpuOps,
+            kApplyOpsPerElem * static_cast<double>(lf.nnz()));
+      ctx.parallel_region(c);
     }
-    CostVector c;
-    c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(lf.nnz()));
-    c.add(CostKind::kCpuOps,
-          kApplyOpsPerElem * static_cast<double>(lf.nnz()));
-    ctx.parallel_region(c);
   });
 
   // Fused masked vxm: unvisited-only outputs are built directly at
   // their owners (the paper's future-work "masks in distributed
   // memory").
-  const auto sr = min_first_semiring<T>();
-  DistSparseVec<T> fresh = spmspv_dist_masked(
-      a, st.frontier, st.visited, MaskMode::kComplement, sr, opt);
-  if (fresh.nnz() == 0) {
-    st.done = true;
-    return;
+  std::vector<const DistSparseVec<T>*> xs;
+  std::vector<const DistDenseVec<std::uint8_t>*> masks;
+  for (int q : act) {
+    lanes[q].level = level;
+    xs.push_back(&lanes[q].frontier);
+    masks.push_back(&lanes[q].visited);
   }
+  std::vector<DistSparseVec<T>> fresh = spmspv_dist_multi(
+      a, xs, masks, MaskMode::kComplement, min_first_semiring<T>(), opt);
 
-  // Record parents and extend the visited set.
-  grid.coforall_locales([&](LocaleCtx& ctx) {
-    const auto& lf = fresh.local(ctx.locale());
-    for (Index p = 0; p < lf.nnz(); ++p) {
-      st.res.parent[static_cast<std::size_t>(lf.index_at(p))] =
-          static_cast<Index>(lf.value_at(p));
+  // Record parents and extend the visited set of every lane that found
+  // new vertices; the others retire.
+  std::vector<std::size_t> live;  // positions in act
+  for (std::size_t i = 0; i < act.size(); ++i) {
+    if (fresh[i].nnz() == 0) {
+      lanes[act[i]].done = true;
+    } else {
+      live.push_back(i);
     }
-    CostVector c;
-    c.add(CostKind::kRandAccess, static_cast<double>(lf.nnz()));
-    c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(lf.nnz()));
-    ctx.parallel_region(c);
-  });
-  mask_union(st.visited, fresh);
+  }
+  if (!live.empty()) {
+    grid.coforall_locales([&](LocaleCtx& ctx) {
+      for (std::size_t i : live) {
+        auto& parent = lanes[act[i]].res.parent;
+        const auto& lf = fresh[i].local(ctx.locale());
+        for (Index p = 0; p < lf.nnz(); ++p) {
+          parent[static_cast<std::size_t>(lf.index_at(p))] =
+              static_cast<Index>(lf.value_at(p));
+        }
+        CostVector c;
+        c.add(CostKind::kRandAccess, static_cast<double>(lf.nnz()));
+        c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(lf.nnz()));
+        ctx.parallel_region(c);
+      }
+    });
+    for (std::size_t i : live) {
+      auto& ln = lanes[act[i]];
+      mask_union(ln.visited, fresh[i]);
+      ln.res.level_sizes.push_back(fresh[i].nnz());
+      ln.frontier = std::move(fresh[i]);
+    }
+  }
+  lane_spans.end(level);
+  return std::all_of(lanes.begin(), lanes.end(),
+                     [](const BfsState<T>& ln) { return ln.done; });
+}
 
-  st.res.level_sizes.push_back(fresh.nnz());
-  st.frontier = std::move(fresh);
+/// Advances one traversal one level (the width-1 wave); sets st.done when
+/// it is finished.
+template <typename T>
+void bfs_step(const DistCsr<T>& a, BfsState<T>& st,
+              const SpmspvOptions& opt = {}) {
+  bfs_step(a, std::span<BfsState<T>>(&st, 1), opt);
 }
 
 /// Direction note: edges are matrix entries A[r, c] = edge r -> c; BFS
@@ -140,161 +204,13 @@ BfsResult bfs(const DistCsr<T>& a, Index source,
   return std::move(st.res);
 }
 
-// ---- Batched multi-source BFS (the service front end's fused wave) ----
-//
-// k independent traversals stepped in lockstep: each level's frontier
-// exchange for every still-active lane rides ONE fused multi-frontier
-// SpMSpV (core/spmspv_multi.hpp), so the comm schedule is priced and
-// paid once per level instead of once per lane. Each lane's state
-// evolves through exactly the solo bfs_init/bfs_step transformations —
-// same frontier values, same mask, same per-owner finalize — so every
-// lane's BfsResult is byte-identical to a solo bfs() from its source.
-
-/// k lane states plus a batch-level done flag. A lane finishes on its
-/// own schedule (its frontier drains); the batch finishes when every
-/// lane has.
+/// The lanes' results, moved out.
 template <typename T>
-struct BfsBatchState {
-  std::vector<BfsState<T>> lanes;
-  bool done = false;
-};
-
-template <typename T>
-BfsBatchState<T> bfs_batch_init(const DistCsr<T>& a,
-                                const std::vector<Index>& sources) {
-  PGB_REQUIRE(!sources.empty(), "bfs_batch: need at least one source");
-  BfsBatchState<T> st;
-  st.lanes.reserve(sources.size());
-  for (Index s : sources) st.lanes.push_back(bfs_init(a, s));
-  a.grid().metrics().counter("algo.calls", {{"algo", "bfs.batch"}}).inc();
-  return st;
-}
-
-/// Advances every still-active lane one level through one fused wave.
-template <typename T>
-void bfs_batch_step(const DistCsr<T>& a, BfsBatchState<T>& st,
-                    const SpmspvOptions& opt = {}) {
-  auto& grid = a.grid();
-  std::vector<int> act;
-  for (int q = 0; q < static_cast<int>(st.lanes.size()); ++q) {
-    auto& ln = st.lanes[static_cast<std::size_t>(q)];
-    if (ln.done) continue;
-    if (ln.frontier.nnz() == 0) {
-      ln.done = true;
-      continue;
-    }
-    act.push_back(q);
-  }
-  if (act.empty()) {
-    st.done = true;
-    return;
-  }
-  PGB_TRACE_SPAN(grid, "bfs.batch.level",
-                 {{"width", std::to_string(act.size())}});
-  grid.metrics().counter("algo.iterations", {{"algo", "bfs.batch"}}).inc();
-  // Per-query level spans: when the service executor bound the batch
-  // lanes to query trace tracks, each active lane gets one "query.level"
-  // span covering this fused wave, tagged with the lane's own frontier
-  // and the wave's comm delta.
-  obs::TraceSession* qtrace = grid.trace_session();
-  const bool lane_trace = qtrace != nullptr && qtrace->has_lane_tracks();
-  double q_t0 = 0.0;
-  std::int64_t q_m0 = 0, q_b0 = 0;
-  std::vector<Index> q_frontier;
-  if (lane_trace) {
-    q_t0 = grid.time();
-    const CommStats cs = grid.comm_stats();
-    q_m0 = cs.messages;
-    q_b0 = cs.bytes;
-    for (int q : act) {
-      q_frontier.push_back(
-          st.lanes[static_cast<std::size_t>(q)].frontier.nnz());
-    }
-  }
-  // Per lane: the solo value-write pass (frontier values carry the
-  // discovering vertex), charged per lane inside one locale loop.
-  grid.coforall_locales([&](LocaleCtx& ctx) {
-    for (int q : act) {
-      auto& lf = st.lanes[static_cast<std::size_t>(q)].frontier.local(
-          ctx.locale());
-      for (Index p = 0; p < lf.nnz(); ++p) {
-        lf.value_at(p) = static_cast<T>(lf.index_at(p));
-      }
-      CostVector c;
-      c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(lf.nnz()));
-      c.add(CostKind::kCpuOps,
-            kApplyOpsPerElem * static_cast<double>(lf.nnz()));
-      ctx.parallel_region(c);
-    }
-  });
-
-  const auto sr = min_first_semiring<T>();
-  std::vector<const DistSparseVec<T>*> xs;
-  std::vector<const DistDenseVec<std::uint8_t>*> masks;
-  xs.reserve(act.size());
-  masks.reserve(act.size());
-  for (int q : act) {
-    auto& ln = st.lanes[static_cast<std::size_t>(q)];
-    ++ln.level;
-    xs.push_back(&ln.frontier);
-    masks.push_back(&ln.visited);
-  }
-  std::vector<DistSparseVec<T>> fresh =
-      spmspv_dist_multi(a, xs, masks, MaskMode::kComplement, sr, opt);
-
-  std::vector<int> live;  // positions in act whose lane found new vertices
-  for (int i = 0; i < static_cast<int>(act.size()); ++i) {
-    if (fresh[static_cast<std::size_t>(i)].nnz() == 0) {
-      st.lanes[static_cast<std::size_t>(act[static_cast<std::size_t>(i)])]
-          .done = true;
-    } else {
-      live.push_back(i);
-    }
-  }
-  if (!live.empty()) {
-    grid.coforall_locales([&](LocaleCtx& ctx) {
-      for (int i : live) {
-        auto& ln = st.lanes[static_cast<std::size_t>(
-            act[static_cast<std::size_t>(i)])];
-        const auto& lf =
-            fresh[static_cast<std::size_t>(i)].local(ctx.locale());
-        for (Index p = 0; p < lf.nnz(); ++p) {
-          ln.res.parent[static_cast<std::size_t>(lf.index_at(p))] =
-              static_cast<Index>(lf.value_at(p));
-        }
-        CostVector c;
-        c.add(CostKind::kRandAccess, static_cast<double>(lf.nnz()));
-        c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(lf.nnz()));
-        ctx.parallel_region(c);
-      }
-    });
-    for (int i : live) {
-      auto& ln =
-          st.lanes[static_cast<std::size_t>(act[static_cast<std::size_t>(i)])];
-      auto& fr = fresh[static_cast<std::size_t>(i)];
-      mask_union(ln.visited, fr);
-      ln.res.level_sizes.push_back(fr.nnz());
-      ln.frontier = std::move(fr);
-    }
-  }
-  if (lane_trace) {
-    const double q_t1 = grid.time();
-    const CommStats cs = grid.comm_stats();
-    const std::string d_msgs = std::to_string(cs.messages - q_m0);
-    const std::string d_bytes = std::to_string(cs.bytes - q_b0);
-    const std::string width = std::to_string(act.size());
-    for (std::size_t i = 0; i < act.size(); ++i) {
-      const int tr = qtrace->lane_track(act[i]);
-      if (tr < 0) continue;
-      const auto& ln = st.lanes[static_cast<std::size_t>(act[i])];
-      qtrace->begin_span(tr, "query.level", q_t0,
-                         {{"level", std::to_string(ln.level)},
-                          {"frontier", std::to_string(q_frontier[i])},
-                          {"width", width}});
-      qtrace->end_span(tr, q_t1,
-                       {{"d_messages", d_msgs}, {"d_bytes", d_bytes}});
-    }
-  }
+std::vector<BfsResult> bfs_results(std::vector<BfsState<T>>& lanes) {
+  std::vector<BfsResult> out;
+  out.reserve(lanes.size());
+  for (auto& ln : lanes) out.push_back(std::move(ln.res));
+  return out;
 }
 
 /// Runs k BFS traversals through the fused per-level wave; out[i] is
@@ -303,12 +219,10 @@ template <typename T>
 std::vector<BfsResult> bfs_batch(const DistCsr<T>& a,
                                  const std::vector<Index>& sources,
                                  const SpmspvOptions& opt = {}) {
-  BfsBatchState<T> st = bfs_batch_init(a, sources);
-  while (!st.done) bfs_batch_step(a, st, opt);
-  std::vector<BfsResult> out;
-  out.reserve(st.lanes.size());
-  for (auto& ln : st.lanes) out.push_back(std::move(ln.res));
-  return out;
+  std::vector<BfsState<T>> lanes = bfs_init(a, sources);
+  while (!bfs_step(a, std::span(lanes), opt)) {
+  }
+  return bfs_results(lanes);
 }
 
 }  // namespace pgb

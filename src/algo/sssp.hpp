@@ -2,15 +2,20 @@
 // (min, +) semiring — the classic non-Boolean semiring showcase of
 // GraphBLAS: each round relaxes the edges leaving the vertices whose
 // distance improved, exactly a masked SpMSpV on min-plus.
+//
+// The stepper relaxes k independent queries in lockstep (the service
+// front end's fused batch): every active lane's round rides one min-plus
+// SpMSpV wave of width k (core/spmspv.hpp). A solo SSSP is the width-1
+// wave.
 #pragma once
 
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
-#include "core/spmspv_multi.hpp"
 #include "obs/span.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/dist_dense_vec.hpp"
@@ -28,10 +33,10 @@ struct SsspResult {
       std::numeric_limits<double>::max();
 };
 
-/// The loop state of one SSSP run, exposed for the recovery driver
-/// (fault/recovery.hpp via algo/algo_recovery.hpp): snapshot between
-/// rounds, rebuild after a locale failure. `sssp()` below is exactly
-/// sssp_init + sssp_step-until-done + sssp_finalize.
+/// The loop state of one SSSP run (one lane), exposed for the recovery
+/// driver (fault/recovery.hpp via algo/algo_recovery.hpp): snapshot
+/// between rounds, rebuild after a locale failure. `sssp()` below is
+/// exactly sssp_init + sssp_step-until-done + sssp_finalize.
 struct SsspState {
   DistDenseVec<double> dist;
   DistSparseVec<double> frontier;  ///< vertices improved last round
@@ -54,183 +59,65 @@ SsspState sssp_init(const DistCsr<T>& a, Index source) {
   return st;
 }
 
-/// One Bellman-Ford relaxation round; sets st.done at the fixed point
-/// (or at the n-round cap).
+/// One lane per source: the state of k queries relaxed together.
 template <typename T>
-void sssp_step(const DistCsr<T>& a, SsspState& st,
+std::vector<SsspState> sssp_init(const DistCsr<T>& a,
+                                 const std::vector<Index>& sources) {
+  PGB_REQUIRE(!sources.empty(), "sssp: need at least one source");
+  std::vector<SsspState> lanes;
+  lanes.reserve(sources.size());
+  for (Index s : sources) lanes.push_back(sssp_init(a, s));
+  return lanes;
+}
+
+/// One Bellman-Ford relaxation round for every active lane, through one
+/// min-plus SpMSpV wave of width k = the number of active lanes. Each
+/// lane's improvement filter and next-frontier build run over that lane's
+/// data alone, so lane distances are byte-identical to solo sssp() runs.
+/// A lane retires at its fixed point (an empty frontier) or at the
+/// n-round cap; returns true once every lane has retired.
+template <typename T>
+bool sssp_step(const DistCsr<T>& a, std::span<SsspState> lanes,
                const SpmspvOptions& opt = {}) {
   auto& grid = a.grid();
   const Index n = a.nrows();
-  if (st.frontier.nnz() == 0 || st.res.rounds >= n) {
-    st.done = true;
-    return;
-  }
-  ++st.res.rounds;
-  PGB_TRACE_SPAN(grid, "sssp.round",
-                 {{"round", std::to_string(st.res.rounds)},
-                  {"frontier", std::to_string(st.frontier.nnz())}});
-  grid.metrics().counter("algo.iterations", {{"algo", "sssp"}}).inc();
-  // candidate[c] = min over frontier rows r of (dist-candidate of r +
-  // weight(r, c)).
-  const auto sr = min_plus_semiring<double>();
-  DistSparseVec<double> cand = [&] {
-    // Cast matrix values to double lazily through the semiring: build
-    // a double view by multiplying with the frontier values.
-    return spmspv_dist(a, st.frontier, sr, opt);
-  }();
-
-  // Keep the candidates that actually improve; update dist.
-  std::vector<std::vector<Index>> imp_idx(grid.num_locales());
-  std::vector<std::vector<double>> imp_val(grid.num_locales());
-  grid.coforall_locales([&](LocaleCtx& ctx) {
-    const int l = ctx.locale();
-    const auto& lc = cand.local(l);
-    auto& ld = st.dist.local(l);
-    for (Index p = 0; p < lc.nnz(); ++p) {
-      const Index v = lc.index_at(p);
-      if (lc.value_at(p) < ld[v]) {
-        ld[v] = lc.value_at(p);
-        imp_idx[l].push_back(v);
-        imp_val[l].push_back(lc.value_at(p));
-      }
-    }
-    CostVector c;
-    c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(lc.nnz()));
-    c.add(CostKind::kRandAccess, static_cast<double>(lc.nnz()));
-    c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(lc.nnz()));
-    ctx.parallel_region(c);
-  });
-
-  DistSparseVec<double> next(grid, n);
-  for (int l = 0; l < grid.num_locales(); ++l) {
-    next.local(l) = SparseVec<double>::from_sorted(
-        next.dist().local_size(l), std::move(imp_idx[l]),
-        std::move(imp_val[l]));
-  }
-  st.frontier = std::move(next);
-}
-
-/// Gathers the distributed distances into the result (no charging; same
-/// convention as the other algos' result extraction).
-inline SsspResult sssp_finalize(SsspState& st) {
-  const Index n = st.dist.size();
-  st.res.dist.resize(static_cast<std::size_t>(n));
-  for (int l = 0; l < st.dist.grid().num_locales(); ++l) {
-    const auto& ld = st.dist.local(l);
-    for (Index i = ld.lo(); i < ld.hi(); ++i) {
-      st.res.dist[static_cast<std::size_t>(i)] = ld[i];
-    }
-  }
-  return std::move(st.res);
-}
-
-/// Edge weights are the matrix values (must be non-negative for the
-/// result to be meaningful in bounded rounds; negative cycles are not
-/// detected — rounds are capped at n).
-///
-/// Each relaxation round's frontier exchange is the SpMSpV below; set
-/// `opt.comm = CommMode::kAggregated` to run it through the
-/// conveyor-style aggregation layer (identical distances, far fewer
-/// modeled messages).
-template <typename T>
-SsspResult sssp(const DistCsr<T>& a, Index source,
-                const SpmspvOptions& opt = {}) {
-  SsspState st = sssp_init(a, source);
-  while (!st.done) sssp_step(a, st, opt);
-  return sssp_finalize(st);
-}
-
-// ---- Batched multi-source SSSP (the service front end's fused wave) ----
-//
-// Same lockstep structure as BfsBatchState: every active lane's
-// relaxation round rides one fused multi-frontier SpMSpV, while each
-// lane's improvement filter and next-frontier build are the solo
-// sssp_step code over that lane's data alone — lane distances are
-// byte-identical to solo sssp() runs.
-
-struct SsspBatchState {
-  std::vector<SsspState> lanes;
-  bool done = false;
-};
-
-template <typename T>
-SsspBatchState sssp_batch_init(const DistCsr<T>& a,
-                               const std::vector<Index>& sources) {
-  PGB_REQUIRE(!sources.empty(), "sssp_batch: need at least one source");
-  SsspBatchState st;
-  st.lanes.reserve(sources.size());
-  for (Index s : sources) st.lanes.push_back(sssp_init(a, s));
-  a.grid().metrics().counter("algo.calls", {{"algo", "sssp.batch"}}).inc();
-  return st;
-}
-
-/// One fused Bellman-Ford relaxation round across all active lanes.
-template <typename T>
-void sssp_batch_step(const DistCsr<T>& a, SsspBatchState& st,
-                     const SpmspvOptions& opt = {}) {
-  auto& grid = a.grid();
-  const Index n = a.nrows();
   std::vector<int> act;
-  for (int q = 0; q < static_cast<int>(st.lanes.size()); ++q) {
-    auto& ln = st.lanes[static_cast<std::size_t>(q)];
+  Index frontier = 0;
+  for (int q = 0; q < static_cast<int>(lanes.size()); ++q) {
+    auto& ln = lanes[q];
+    if (ln.frontier.nnz() == 0 || ln.res.rounds >= n) ln.done = true;
     if (ln.done) continue;
-    if (ln.frontier.nnz() == 0 || ln.res.rounds >= n) {
-      ln.done = true;
-      continue;
-    }
     act.push_back(q);
+    frontier += ln.frontier.nnz();
   }
-  if (act.empty()) {
-    st.done = true;
-    return;
-  }
-  PGB_TRACE_SPAN(grid, "sssp.batch.round",
-                 {{"width", std::to_string(act.size())}});
-  grid.metrics().counter("algo.iterations", {{"algo", "sssp.batch"}}).inc();
-
-  // Per-query trace capture: when the executor bound lane tracks on the
-  // session, every active lane gets a query.level span for this round,
-  // tagged with the lane's own frontier size and the wave's comm delta.
-  obs::TraceSession* qtrace = grid.trace_session();
-  const bool lane_trace = qtrace != nullptr && qtrace->has_lane_tracks();
-  double q_t0 = 0.0;
-  std::int64_t q_m0 = 0, q_b0 = 0;
-  std::vector<Index> q_frontier;
-  if (lane_trace) {
-    q_t0 = grid.time();
-    const CommStats cs = grid.comm_stats();
-    q_m0 = cs.messages;
-    q_b0 = cs.bytes;
-    for (int q : act) {
-      q_frontier.push_back(st.lanes[static_cast<std::size_t>(q)].frontier.nnz());
-    }
-  }
-
-  const auto sr = min_plus_semiring<double>();
+  if (act.empty()) return true;
+  const int round = lanes[act.front()].res.rounds + 1;  // lanes in lockstep
+  PGB_TRACE_SPAN(grid, "sssp.round",
+                 {{"round", std::to_string(round)},
+                  {"frontier", std::to_string(frontier)}});
+  grid.metrics().counter("algo.iterations", {{"algo", "sssp"}}).inc();
+  obs::LaneLevelSpans lane_spans(grid);
+  // candidate[c] = min over frontier rows r of (dist-candidate of r +
+  // weight(r, c)); matrix values are cast to double by the semiring.
   std::vector<const DistSparseVec<double>*> xs;
-  xs.reserve(act.size());
   for (int q : act) {
-    auto& ln = st.lanes[static_cast<std::size_t>(q)];
-    ++ln.res.rounds;
-    xs.push_back(&ln.frontier);
+    lane_spans.add(q, lanes[q].frontier.nnz());
+    lanes[q].res.rounds = round;
+    xs.push_back(&lanes[q].frontier);
   }
-  std::vector<DistSparseVec<double>> cand =
-      spmspv_dist_multi(a, xs, {}, MaskMode::kNone, sr, opt);
+  std::vector<DistSparseVec<double>> cand = spmspv_dist_multi(
+      a, xs, {}, MaskMode::kNone, min_plus_semiring<double>(), opt);
 
   // Per lane: keep the candidates that improve, update dist, and build
-  // the next frontier — the solo filter, charged per lane.
+  // the next frontier.
   const int nloc = grid.num_locales();
-  for (int i = 0; i < static_cast<int>(act.size()); ++i) {
-    auto& ln =
-        st.lanes[static_cast<std::size_t>(act[static_cast<std::size_t>(i)])];
-    auto& lc_all = cand[static_cast<std::size_t>(i)];
-    std::vector<std::vector<Index>> imp_idx(
-        static_cast<std::size_t>(nloc));
-    std::vector<std::vector<double>> imp_val(
-        static_cast<std::size_t>(nloc));
+  for (std::size_t i = 0; i < act.size(); ++i) {
+    auto& ln = lanes[act[i]];
+    std::vector<std::vector<Index>> imp_idx(static_cast<std::size_t>(nloc));
+    std::vector<std::vector<double>> imp_val(static_cast<std::size_t>(nloc));
     grid.coforall_locales([&](LocaleCtx& ctx) {
       const int l = ctx.locale();
-      const auto& lc = lc_all.local(l);
+      const auto& lc = cand[i].local(l);
       auto& ld = ln.dist.local(l);
       for (Index p = 0; p < lc.nnz(); ++p) {
         const Index v = lc.index_at(p);
@@ -255,24 +142,54 @@ void sssp_batch_step(const DistCsr<T>& a, SsspBatchState& st,
     }
     ln.frontier = std::move(next);
   }
-  if (lane_trace) {
-    const double q_t1 = grid.time();
-    const CommStats cs = grid.comm_stats();
-    const std::string d_msgs = std::to_string(cs.messages - q_m0);
-    const std::string d_bytes = std::to_string(cs.bytes - q_b0);
-    const std::string width = std::to_string(act.size());
-    for (std::size_t i = 0; i < act.size(); ++i) {
-      const int tr = qtrace->lane_track(act[i]);
-      if (tr < 0) continue;
-      const auto& ln = st.lanes[static_cast<std::size_t>(act[i])];
-      qtrace->begin_span(tr, "query.level", q_t0,
-                         {{"level", std::to_string(ln.res.rounds)},
-                          {"frontier", std::to_string(q_frontier[i])},
-                          {"width", width}});
-      qtrace->end_span(tr, q_t1,
-                       {{"d_messages", d_msgs}, {"d_bytes", d_bytes}});
+  lane_spans.end(round);
+  return false;  // lanes retire at the start of a round
+}
+
+/// One relaxation round of a single query (the width-1 wave); sets
+/// st.done at the fixed point (or at the n-round cap).
+template <typename T>
+void sssp_step(const DistCsr<T>& a, SsspState& st,
+               const SpmspvOptions& opt = {}) {
+  sssp_step(a, std::span<SsspState>(&st, 1), opt);
+}
+
+/// Gathers the distributed distances into the result (no charging; same
+/// convention as the other algos' result extraction).
+inline SsspResult sssp_finalize(SsspState& st) {
+  const Index n = st.dist.size();
+  st.res.dist.resize(static_cast<std::size_t>(n));
+  for (int l = 0; l < st.dist.grid().num_locales(); ++l) {
+    const auto& ld = st.dist.local(l);
+    for (Index i = ld.lo(); i < ld.hi(); ++i) {
+      st.res.dist[static_cast<std::size_t>(i)] = ld[i];
     }
   }
+  return std::move(st.res);
+}
+
+/// Every lane's result (see sssp_finalize).
+inline std::vector<SsspResult> sssp_results(std::vector<SsspState>& lanes) {
+  std::vector<SsspResult> out;
+  out.reserve(lanes.size());
+  for (auto& ln : lanes) out.push_back(sssp_finalize(ln));
+  return out;
+}
+
+/// Edge weights are the matrix values (must be non-negative for the
+/// result to be meaningful in bounded rounds; negative cycles are not
+/// detected — rounds are capped at n).
+///
+/// Each relaxation round's frontier exchange is the SpMSpV below; set
+/// `opt.comm = CommMode::kAggregated` to run it through the
+/// conveyor-style aggregation layer (identical distances, far fewer
+/// modeled messages).
+template <typename T>
+SsspResult sssp(const DistCsr<T>& a, Index source,
+                const SpmspvOptions& opt = {}) {
+  SsspState st = sssp_init(a, source);
+  while (!st.done) sssp_step(a, st, opt);
+  return sssp_finalize(st);
 }
 
 /// Runs k SSSP queries through the fused per-round wave; out[i] is
@@ -281,12 +198,10 @@ template <typename T>
 std::vector<SsspResult> sssp_batch(const DistCsr<T>& a,
                                    const std::vector<Index>& sources,
                                    const SpmspvOptions& opt = {}) {
-  SsspBatchState st = sssp_batch_init(a, sources);
-  while (!st.done) sssp_batch_step(a, st, opt);
-  std::vector<SsspResult> out;
-  out.reserve(st.lanes.size());
-  for (auto& ln : st.lanes) out.push_back(sssp_finalize(ln));
-  return out;
+  std::vector<SsspState> lanes = sssp_init(a, sources);
+  while (!sssp_step(a, std::span(lanes), opt)) {
+  }
+  return sssp_results(lanes);
 }
 
 }  // namespace pgb

@@ -13,20 +13,36 @@
 //              emits the indices in order from the isthere bitmap
 //              (Spa::for_each_sorted) instead of sorting them.
 //
-// Distributed memory (spmspv_dist), on the 2-D block distribution:
+// Distributed memory (spmspv_dist_multi), on the 2-D block distribution,
+// for a wave of k frontier lanes (n x k, k = 1 for the paper's solo
+// spmspv_dist):
 //   1. Gather:  every locale (R, C) assembles the x entries for row-block
 //               R from the pc owners along its processor row. The paper's
 //               Listing 8 copies these *element by element* — the
 //               fine-grained traffic that ends up dominating (Figs 8-9).
 //               opts.bulk_gather switches to one bulk get per piece
 //               (the paper's suggested bulk-synchronous remedy).
-//   2. Local:   spmspv_shm on the local block.
+//   2. Local:   spmspv_shm on the local block, once per lane.
 //   3. Scatter: partial outputs are accumulated into the 1-D distributed
 //               result; the paper writes one element at a time into a
 //               global atomic "isthere" array. opts.bulk_scatter batches
 //               per destination instead.
+//
+// A wave of k > 1 lanes is the batching economy of CombBLAS 2.0's fused
+// multi-vector traversals (and LAGraph's batched BC) brought to the
+// serving layer: when k independent single-source queries traverse the
+// same graph epoch, their per-level exchanges share one communication
+// schedule — one size round trip per (reader, source) pair instead of k,
+// one bulk/flush sequence per destination with lane-tagged updates, and
+// one comm-mode decision per level instead of per user. Compute is not
+// fused: each lane's local multiply, accumulation and owner-side finalize
+// run over that lane's data alone, in the width-1 order, so every lane's
+// output is byte-identical to the width-1 call on that lane.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/descriptor.hpp"
@@ -141,8 +157,9 @@ SparseVec<T> spa_to_sparse_vec(const Spa<T>& spa, Index capacity) {
 
 /// Owner-side finalize of a distributed SpMSpV (the paper's denseToSparse
 /// scan): emits output owner o's SPA in index order into y.local(o),
-/// dropping entries that fail `mask`. The solo, fused and transpose-free
-/// SpMSpV paths all finalize here, so their outputs are byte-identical.
+/// dropping entries that fail `mask`. Every lane of a spmspv_dist_multi
+/// wave and the transpose-free mxv_direct finalize here, so their outputs
+/// are byte-identical.
 template <typename T>
 void finalize_owner(LocaleCtx& ctx, const Spa<T>& spa, DistSparseVec<T>& y,
                     const DistDenseVec<std::uint8_t>* mask,
@@ -342,17 +359,6 @@ SparseVec<T> spmspv_shm(LocaleCtx& ctx, const Csr<TA>& a, Index row_lo,
   return y;
 }
 
-/// Distributed SpMSpV: y <- x A over the 2-D block distribution.
-/// Phase times are recorded in the grid's trace under "gather", "local",
-/// "scatter" (Figs 8-9's components).
-/// TA (matrix) and T (vector) may differ; matrix values are cast to T
-/// before the semiring multiply.
-///
-/// `mask` (optional) filters the output *inside* the owner-side finalize
-/// step — the fused masked vxm of the GraphBLAS spec, which the paper's
-/// conclusion singles out as unexplored in distributed memory. Fusing
-/// saves materializing the unmasked result and a full extra pass
-/// (compare apply_mask).
 namespace detail {
 
 /// Picks the helper locale for straggler shedding: the processor-row
@@ -383,21 +389,84 @@ inline int shed_helper(LocaleGrid& grid, int l, int pc, double shed,
   return best;
 }
 
+/// Scatter element of a width-1 wave: one lane needs no tag, so the wire
+/// (and the host buffer) carries the bare 16-byte {j, v}.
+template <typename T>
+struct SoloUpdate {
+  Index j;
+  T v;
+  static constexpr std::int32_t q = 0;
+  static SoloUpdate make(Index j, const T& v, std::int32_t) { return {j, v}; }
+};
+
+/// Scatter element of a wider wave: lane `q`'s update of output slot
+/// `j`. The lane id rides the wire (it is the column coordinate inside
+/// the n x k block), so fused updates are honestly larger than solo ones;
+/// the win is amortizing messages/flushes/round trips, not bytes.
+template <typename T>
+struct MultiUpdate {
+  Index j;
+  T v;
+  std::int32_t q;
+  static MultiUpdate make(Index j, const T& v, std::int32_t q) {
+    return {j, v, q};
+  }
+};
+
+}  // namespace detail
+
+/// Distributed SpMSpV of width k: Y <- X A for k frontier lanes over the
+/// 2-D block distribution. This is the one distributed SpMSpV; the solo
+/// spmspv_dist / spmspv_dist_masked below are its width-1 calls.
+///
+/// `xs` holds the k lanes (all with capacity == a.nrows(), all on a's
+/// grid). `masks` is either empty (no masking) or one entry per lane —
+/// individual entries may be null (that lane is unmasked); non-null masks
+/// filter that lane's output per `mask_mode` *inside* the owner-side
+/// finalize — the fused masked vxm of the GraphBLAS spec, which the
+/// paper's conclusion singles out as unexplored in distributed memory.
+/// Matrix values (TA) are cast to T before the semiring multiply.
+///
+/// Phase times are recorded in the grid's trace under "gather", "local",
+/// "scatter" (Figs 8-9's components). Only the width decides how a wave
+/// is charged and named: k == 1 ships 16-byte updates, offers the
+/// inspector's replica cache, and counts as kernel "spmspv_dist"; k > 1
+/// ships lane-tagged MultiUpdates and counts as "spmspv_dist_multi".
+///
+/// Returns one output vector per lane, each byte-identical to the
+/// width-1 call on that lane alone under any comm schedule.
 template <typename TA, typename T, typename SR>
-DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
-                                  const DistSparseVec<T>& x, const SR& sr,
-                                  const SpmspvOptions& opt,
-                                  const DistDenseVec<std::uint8_t>* mask,
-                                  MaskMode mask_mode) {
-  PGB_REQUIRE_SHAPE(x.capacity() == a.nrows(),
-                    "spmspv: x capacity must equal matrix rows");
-  PGB_REQUIRE_SHAPE(&x.grid() == &a.grid(),
-                    "spmspv: operands live on different grids");
+std::vector<DistSparseVec<T>> spmspv_dist_multi(
+    const DistCsr<TA>& a, const std::vector<const DistSparseVec<T>*>& xs,
+    const std::vector<const DistDenseVec<std::uint8_t>*>& masks,
+    MaskMode mask_mode, const SR& sr, const SpmspvOptions& opt = {}) {
+  const int k = static_cast<int>(xs.size());
+  PGB_REQUIRE(k >= 1, "spmspv: a wave must hold at least one lane");
+  PGB_REQUIRE(masks.empty() || masks.size() == xs.size(),
+              "spmspv: one mask slot per lane (or none)");
   auto& grid = a.grid();
+  for (const auto* m : masks) {
+    if (m != nullptr) {
+      PGB_REQUIRE_SHAPE(m->size() == a.ncols(),
+                        "spmspv: mask size must equal matrix columns");
+    }
+  }
+  for (const auto* x : xs) {
+    PGB_REQUIRE(x != nullptr, "spmspv: null frontier lane");
+    PGB_REQUIRE_SHAPE(x->capacity() == a.nrows(),
+                      "spmspv: x capacity must equal matrix rows");
+    PGB_REQUIRE_SHAPE(&x->grid() == &grid,
+                      "spmspv: operands live on different grids");
+  }
   const int pc = grid.cols();
   const int pr = grid.rows();
   const int nloc = grid.num_locales();
-  grid.metrics().counter("kernel.calls", {{"kernel", "spmspv_dist"}}).inc();
+  const bool fused = k > 1;
+  grid.metrics()
+      .counter("kernel.calls",
+               {{"kernel", fused ? "spmspv_dist_multi" : "spmspv_dist"}})
+      .inc();
+  if (fused) grid.metrics().histogram("spmspv.multi.width").observe(k);
 
   // Logical->physical host view: after a degraded-mode remap a peer may
   // be co-hosted with us, turning its "remote" pieces into local memory
@@ -405,22 +474,31 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   // branch below reduces to the original formulas bit-for-bit.
   RemapView remap(grid.membership());
 
-  // Inspector–executor (CommMode::kAuto): each comm site records its
-  // wave's remote footprint up front and is bound to the cheapest
-  // predicted schedule; manual modes keep their hardcoded schedule
-  // (insp stays null). Collectives override every schedule, auto
-  // included. Data movement is identical either way — only charging
-  // differs — so auto's outputs are byte-identical to every manual mode.
+  constexpr std::int64_t kGatherBytes = 16;
+  const auto scatter_bytes = static_cast<std::int64_t>(
+      fused ? sizeof(detail::MultiUpdate<T>) : sizeof(detail::SoloUpdate<T>));
+
+  // Inspector–executor (CommMode::kAuto): each comm site records the
+  // wave's remote footprint up front — one footprint, and one decision,
+  // for all k lanes — and is bound to the cheapest predicted schedule;
+  // manual modes keep their hardcoded schedule (insp stays null).
+  // Collectives override every schedule, auto included. Data movement is
+  // identical either way — only charging differs — so auto's outputs are
+  // byte-identical to every manual mode.
   Inspector* insp = (opt.comm == CommMode::kAuto && !opt.use_collectives)
                         ? &grid.inspector()
                         : nullptr;
   SiteDecision gather_dec;
   if (insp != nullptr) {
     SiteFootprint fp;
-    fp.bytes_each = 16;
+    fp.bytes_each = kGatherBytes;
     fp.fanout = static_cast<double>(pc);  // pc readers hit each source
     fp.chain_rts = kRemoteElemRts + 1.0;
-    fp.read_only = true;  // x is immutable for the whole wave
+    // One lane's x is immutable for the whole wave and may be re-read
+    // unchanged by a later one, so replication can pay. k churning
+    // frontiers never repeat together: wider waves take replicate off the
+    // candidate list outright.
+    fp.read_only = !fused;
     fp.gather = true;
     for (int l = 0; l < nloc; ++l) {
       const int prow = grid.locale(l).row;
@@ -430,7 +508,7 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
         const int src = prow * pc + i;
         if (src == l) continue;
         ++pairs;
-        elems += x.local(src).nnz();
+        for (const auto* x : xs) elems += x->local(src).nnz();
       }
       fp.pairs += pairs;
       fp.elements += elems;
@@ -439,26 +517,31 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
         fp.max_initiator_pairs = pairs;
       }
     }
-    fp.block_bytes = 16 * fp.max_initiator_elements;
+    fp.block_bytes = kGatherBytes * fp.max_initiator_elements;
     gather_dec = insp->decide("spmspv.gather", fp);
   }
   const SiteStrategy gather_strat =
-      insp != nullptr          ? gather_dec.strategy
-      : opt.aggregated()       ? SiteStrategy::kAggregated
-      : opt.gather_is_bulk()   ? SiteStrategy::kBulk
-                               : SiteStrategy::kFine;
+      insp != nullptr        ? gather_dec.strategy
+      : opt.aggregated()     ? SiteStrategy::kAggregated
+      : opt.gather_is_bulk() ? SiteStrategy::kBulk
+                             : SiteStrategy::kFine;
 
-  // ---- Step 1: gather x along each processor row ----
+  // ---- Step 1: gather X along each processor row ----
+  // Every lane's piece from source `src` rides the same transfer set: one
+  // size round trip per (reader, source) pair, then one chain/bulk/chunk
+  // stream of the lanes' combined elements.
   obs::GridSpan gather_span(grid, "spmspv.gather");
   CommStats cs0 = grid.comm_stats();
   double t0 = grid.time();
-  std::vector<SparseVec<T>> xr(nloc);
+  std::vector<std::vector<SparseVec<T>>> xr(
+      static_cast<std::size_t>(k),
+      std::vector<SparseVec<T>>(static_cast<std::size_t>(nloc)));
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
     const int prow = grid.locale(l).row;
-    std::vector<Index> idx;
-    std::vector<T> val;
+    std::vector<std::vector<Index>> idx(static_cast<std::size_t>(k));
+    std::vector<std::vector<T>> val(static_cast<std::size_t>(k));
     // Aggregated mode: the known-size remote pieces are pulled as
     // capacity-sized chunks through a double-buffered channel, so chunk
     // transfers from the pc sources overlap one another.
@@ -472,68 +555,73 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     const int self_host = remap.host(l);
     for (int i = 0; i < pc; ++i) {
       const int src = prow * pc + i;
-      const auto& piece = x.local(src);
-      idx.insert(idx.end(), piece.domain().indices().begin(),
-                 piece.domain().indices().end());
-      val.insert(val.end(), piece.values().begin(), piece.values().end());
+      std::int64_t total = 0;
+      for (int q = 0; q < k; ++q) {
+        const auto& piece = xs[static_cast<std::size_t>(q)]->local(src);
+        idx[q].insert(idx[q].end(), piece.domain().indices().begin(),
+                      piece.domain().indices().end());
+        val[q].insert(val[q].end(), piece.values().begin(),
+                      piece.values().end());
+        total += piece.nnz();
+      }
       const bool co_hosted = remap.remapped() && remap.host(src) == self_host;
-      if (src != l && !co_hosted && !opt.use_collectives) {
-        if (gather_strat == SiteStrategy::kReplicate) {
-          // Selective read-only replication: the source piece is shipped
-          // once per reader host through a binomial broadcast tree
-          // (depth ceil(log2(pc)) instead of pc serialized serves) and
-          // stays resident; while its content fingerprint and the
-          // membership epoch both hold, later waves read the replica for
-          // free (inspector.cache.hits). A remap flushes every replica.
-          const std::uint64_t tag = piece.fingerprint();
-          if (!insp->cache_lookup("spmspv.gather", src, self_host, tag)) {
-            const std::int64_t bytes = 16 * piece.nnz();
-            ctx.remote_rt(src, 8);
-            ctx.remote_bulk(src, bytes);
-            const int depth =
-                replication_tree_depth(static_cast<double>(pc));
-            if (depth > 1) {
-              const bool intra =
-                  grid.same_node(self_host, remap.host(src));
-              ctx.clock().advance(
-                  static_cast<double>(depth - 1) *
-                  grid.net().bulk(bytes, intra, grid.colocated()));
-            }
-            insp->cache_install("spmspv.gather", src, self_host, tag,
-                                bytes);
+      if (src == l || co_hosted || opt.use_collectives) continue;
+      if (gather_strat == SiteStrategy::kReplicate) {
+        // Selective read-only replication (offered at k == 1 only): the
+        // source piece is shipped once per reader host through a
+        // binomial broadcast tree (depth ceil(log2(pc)) instead of pc
+        // serialized serves) and stays resident; while its content
+        // fingerprint and the membership epoch both hold, later waves
+        // read the replica for free (inspector.cache.hits). A remap
+        // flushes every replica.
+        const std::uint64_t tag = xs.front()->local(src).fingerprint();
+        if (!insp->cache_lookup("spmspv.gather", src, self_host, tag)) {
+          const std::int64_t bytes = kGatherBytes * total;
+          ctx.remote_rt(src, 8);
+          ctx.remote_bulk(src, bytes);
+          const int depth = replication_tree_depth(static_cast<double>(pc));
+          if (depth > 1) {
+            const bool intra = grid.same_node(self_host, remap.host(src));
+            ctx.clock().advance(
+                static_cast<double>(depth - 1) *
+                grid.net().bulk(bytes, intra, grid.colocated()));
           }
-          continue;
+          insp->cache_install("spmspv.gather", src, self_host, tag, bytes);
         }
-        // Domain-size query, then the element copies. Every locale in
-        // this processor row pulls from the same pc sources at once, so
-        // each source's AM handler serves pc requesters (contention).
-        ctx.remote_rt(src, 8);
-        if (gather_strat == SiteStrategy::kAggregated) {
-          chan.get_elems(src, piece.nnz(), 16);
-        } else if (gather_strat == SiteStrategy::kBulk) {
-          // The source serves one bulk copy to each of the pc locales in
-          // this processor row, serially (no broadcast tree in the
-          // paper's runtime): receiver-side contention scales the
-          // effective transfer.
-          ctx.remote_bulk(src, 16 * piece.nnz() * pc);
-        } else {
-          ctx.remote_chain(src, piece.nnz(), kRemoteElemRts + 1.0, 16,
-                           /*contention=*/static_cast<double>(pc));
-        }
+        continue;
+      }
+      // Domain-size query (the k sizes ride one reply), then the element
+      // copies. Every locale in this processor row pulls from the same pc
+      // sources at once, so each source's AM handler serves pc
+      // requesters (contention).
+      ctx.remote_rt(src, 8 * k);
+      if (gather_strat == SiteStrategy::kAggregated) {
+        chan.get_elems(src, total, kGatherBytes);
+      } else if (gather_strat == SiteStrategy::kBulk) {
+        // The source serves one bulk copy to each of the pc locales in
+        // this processor row, serially (no broadcast tree in the paper's
+        // runtime): receiver-side contention scales the transfer.
+        ctx.remote_bulk(src, kGatherBytes * total * pc);
+      } else {
+        ctx.remote_chain(src, total, kRemoteElemRts + 1.0, kGatherBytes,
+                         /*contention=*/static_cast<double>(pc));
       }
     }
     chan.drain();
-    xr[l] = SparseVec<T>::from_sorted(blk.rhi - blk.rlo, std::move(idx),
-                                      std::move(val));
+    for (int q = 0; q < k; ++q) {
+      xr[q][l] = SparseVec<T>::from_sorted(
+          blk.rhi - blk.rlo, std::move(idx[q]), std::move(val[q]));
+    }
   });
   if (opt.use_collectives) {
     for (int r = 0; r < pr; ++r) {
       std::int64_t max_piece = 0;
       for (int m : row_members(grid, r)) {
-        max_piece = std::max(max_piece, 16 * x.local(m).nnz());
+        std::int64_t piece = 0;
+        for (const auto* x : xs) piece += kGatherBytes * x->local(m).nnz();
+        max_piece = std::max(max_piece, piece);
       }
-      allgather(grid, row_members(grid, r), max_piece,
-                CollectiveAlgo::kTree);
+      allgather(grid, row_members(grid, r), max_piece, CollectiveAlgo::kTree);
     }
     grid.barrier_all();
   }
@@ -550,10 +638,14 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   if (insp != nullptr) insp->observe("spmspv.gather", grid.time() - t0);
   grid.trace().add("gather", grid.time() - t0);
 
-  // ---- Step 2: local multiply ----
+  // ---- Step 2: per-lane local multiply ----
+  // Not fused: lane q's multiply is spmspv_shm over lane q's gathered
+  // piece alone, so lane outputs can't depend on batch-mates.
   obs::GridSpan local_span(grid, "spmspv.local");
   t0 = grid.time();
-  std::vector<SparseVec<T>> ly(nloc);
+  std::vector<std::vector<SparseVec<T>>> ly(
+      static_cast<std::size_t>(k),
+      std::vector<SparseVec<T>>(static_cast<std::size_t>(nloc)));
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
@@ -564,16 +656,16 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     // clock pays the shed fraction plus the thief-pays input pull.
     const int helper =
         detail::shed_helper(grid, l, pc, opt.straggler_shed, remap);
-    if (helper < 0) {
-      ly[l] = spmspv_shm(ctx, blk.csr, blk.rlo, xr[l], blk.clo, blk.chi, sr,
-                         opt);
-      return;
-    }
     const double shed = opt.straggler_shed;
     const double before = ctx.clock().now();
-    ctx.set_charge_scale(1.0 - shed);
-    ly[l] = spmspv_shm(ctx, blk.csr, blk.rlo, xr[l], blk.clo, blk.chi, sr,
-                       opt);
+    if (helper >= 0) ctx.set_charge_scale(1.0 - shed);
+    std::int64_t pulled = 0;
+    for (int q = 0; q < k; ++q) {
+      ly[q][l] = spmspv_shm(ctx, blk.csr, blk.rlo, xr[q][l], blk.clo,
+                            blk.chi, sr, opt);
+      pulled += xr[q][l].nnz();
+    }
+    if (helper < 0) return;
     ctx.set_charge_scale(1.0);
     const double charged = ctx.clock().now() - before;
     // The helper executes the shed share: it re-pays the time the
@@ -581,7 +673,7 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     // its share of the gathered input.
     LocaleCtx hctx(grid, helper);
     hctx.remote_bulk(l, static_cast<std::int64_t>(
-                            16.0 * static_cast<double>(xr[l].nnz()) * shed));
+                            16.0 * static_cast<double>(pulled) * shed));
     grid.clock(remap.host(helper)).advance(charged / (1.0 - shed) * shed);
     grid.metrics().counter("spmspv.rebalanced").inc();
     auto* session = grid.trace_session();
@@ -601,14 +693,15 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   SiteDecision scatter_dec;
   if (insp != nullptr) {
     SiteFootprint fp;
-    fp.bytes_each = 16;
+    fp.bytes_each = scatter_bytes;
     fp.fanout = static_cast<double>(pr);
     fp.gather = false;
     // The bulk branch below spawns one packing region per destination;
     // that task-spawn floor is what it costs over fine/agg per pair.
     fp.bulk_pair_overhead = grid.region_floor();
     for (int l = 0; l < nloc; ++l) {
-      const std::int64_t elems = ly[l].nnz();
+      std::int64_t elems = 0;
+      for (int q = 0; q < k; ++q) elems += ly[q][l].nnz();
       const std::int64_t pairs =
           std::min<std::int64_t>(nloc > 1 ? nloc - 1 : 0, pr);
       fp.pairs += pairs;
@@ -621,55 +714,70 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     scatter_dec = insp->decide("spmspv.scatter", fp);
   }
   const SiteStrategy scatter_strat =
-      insp != nullptr          ? scatter_dec.strategy
-      : opt.aggregated()       ? SiteStrategy::kAggregated
-      : opt.scatter_is_bulk()  ? SiteStrategy::kBulk
-                               : SiteStrategy::kFine;
+      insp != nullptr         ? scatter_dec.strategy
+      : opt.aggregated()      ? SiteStrategy::kAggregated
+      : opt.scatter_is_bulk() ? SiteStrategy::kBulk
+                              : SiteStrategy::kFine;
 
-  // ---- Step 3: scatter/accumulate into the 1-D distributed output ----
+  // ---- Step 3: scatter/accumulate into k 1-D distributed outputs ----
   obs::GridSpan scatter_span(grid, "spmspv.scatter");
   cs0 = grid.comm_stats();
   t0 = grid.time();
-  DistSparseVec<T> y(grid, a.ncols());
-  std::vector<Spa<T>> yspa;
-  yspa.reserve(nloc);
-  for (int o = 0; o < nloc; ++o) {
-    yspa.emplace_back(y.dist().lo(o), y.dist().hi(o));
+  std::vector<DistSparseVec<T>> y;
+  y.reserve(static_cast<std::size_t>(k));
+  for (int q = 0; q < k; ++q) y.emplace_back(grid, a.ncols());
+  const auto& ydist = y.front().dist();
+  // Per-lane accumulators: lane q's per-slot accumulation order is the
+  // width-1 order (lanes never share a SPA slot).
+  std::vector<std::vector<Spa<T>>> yspa(static_cast<std::size_t>(k));
+  for (auto& lane : yspa) {
+    lane.reserve(static_cast<std::size_t>(nloc));
+    for (int o = 0; o < nloc; ++o) lane.emplace_back(ydist.lo(o), ydist.hi(o));
   }
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
-    const auto& part = ly[l];
     // Per-wave cached host view (same hoist as the gather).
     const int self_host = remap.host(l);
     std::vector<std::int64_t> count_to(static_cast<std::size_t>(nloc), 0);
     if (scatter_strat == SiteStrategy::kAggregated && !opt.use_collectives) {
-      // Conveyor schedule: accumulate-at-owner requests ride per-peer
-      // buffers; every flush is one bulk (plus header) instead of a
-      // message per element. Per-peer FIFO delivery keeps the per-slot
+      // Conveyor schedule: accumulate-at-owner requests of every lane
+      // ride one set of per-peer buffers; every flush is one bulk (plus
+      // header) instead of a message per element, amortized across the
+      // k lanes. Per-peer FIFO delivery keeps each lane's per-slot
       // accumulation order of the fine-grained path, so results are
       // bit-identical.
-      struct Update {
-        Index j;
-        T v;
-      };
       AggConfig cfg = opt.agg;
       cfg.contention = static_cast<double>(pr);
       if (insp != nullptr) cfg.capacity = scatter_dec.agg_capacity;
-      DstAggregator<Update> agg(
-          ctx,
-          [&](int peer, std::vector<Update>& batch) {
-            for (const auto& u : batch) {
-              yspa[peer].accumulate(u.j, u.v, sr.add);
-            }
-          },
-          cfg);
-      for (Index p = 0; p < part.nnz(); ++p) {
-        const Index j = part.index_at(p);
-        const int o = y.dist().owner(j);
-        agg.push(o, Update{j, part.value_at(p)});
-        ++count_to[o];
+      // The buffered record is the wire record (SoloUpdate at width 1,
+      // lane-tagged MultiUpdate above), so the host buffers no tag a
+      // width-1 wave does not ship.
+      const auto push_lanes = [&](auto record) {
+        using Update = decltype(record);
+        DstAggregator<Update> agg(
+            ctx,
+            [&](int peer, std::vector<Update>& batch) {
+              for (const auto& u : batch) {
+                yspa[u.q][peer].accumulate(u.j, u.v, sr.add);
+              }
+            },
+            cfg);
+        for (int q = 0; q < k; ++q) {
+          const auto& part = ly[q][l];
+          for (Index p = 0; p < part.nnz(); ++p) {
+            const Index j = part.index_at(p);
+            const int o = ydist.owner(j);
+            agg.push(o, Update::make(j, part.value_at(p), q));
+            ++count_to[o];
+          }
+        }
+        agg.flush_all();
+      };
+      if (fused) {
+        push_lanes(detail::MultiUpdate<T>{});
+      } else {
+        push_lanes(detail::SoloUpdate<T>{});
       }
-      agg.flush_all();
       CostVector c;  // local accumulation + packing of the remote batches
       c.add(CostKind::kRandAccess, static_cast<double>(count_to[l]));
       c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(count_to[l]));
@@ -683,16 +791,20 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
           continue;
         }
         c.add(CostKind::kCpuOps, 10.0 * static_cast<double>(count_to[o]));
-        c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(count_to[o]));
+        c.add(CostKind::kStreamBytes,
+              static_cast<double>(scatter_bytes * count_to[o]));
       }
       ctx.parallel_region(c);
       return;
     }
-    for (Index p = 0; p < part.nnz(); ++p) {
-      const Index j = part.index_at(p);
-      const int o = y.dist().owner(j);
-      yspa[o].accumulate(j, part.value_at(p), sr.add);
-      ++count_to[o];
+    for (int q = 0; q < k; ++q) {
+      const auto& part = ly[q][l];
+      for (Index p = 0; p < part.nnz(); ++p) {
+        const Index j = part.index_at(p);
+        const int o = ydist.owner(j);
+        yspa[q][o].accumulate(j, part.value_at(p), sr.add);
+        ++count_to[o];
+      }
     }
     for (int o = 0; o < nloc; ++o) {
       if (count_to[o] == 0) continue;
@@ -709,18 +821,19 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
         c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(count_to[o]));
         ctx.parallel_region(c);
       } else if (scatter_strat == SiteStrategy::kBulk) {
-        CostVector c;  // pack the destination's batch
+        CostVector c;  // one packing region covers all k lanes' batch
         c.add(CostKind::kCpuOps, 10.0 * static_cast<double>(count_to[o]));
-        c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(count_to[o]));
+        c.add(CostKind::kStreamBytes,
+              static_cast<double>(scatter_bytes * count_to[o]));
         ctx.parallel_region(c);
         // Every destination drains batches from the pr locales of one
         // processor column, serially: receiver-side contention.
-        ctx.remote_bulk(o, 16 * count_to[o] * pr);
+        ctx.remote_bulk(o, scatter_bytes * count_to[o] * pr);
       } else {
         // One remote atomic write per element (paper Listing 8 step 3);
         // each destination is hammered by the pr locales of one
         // processor column at once.
-        ctx.remote_msgs(o, count_to[o], 16,
+        ctx.remote_msgs(o, count_to[o], scatter_bytes,
                         /*contention=*/static_cast<double>(pr));
       }
     }
@@ -728,14 +841,21 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   if (opt.use_collectives) {
     for (int c = 0; c < pc; ++c) {
       std::int64_t volume = 0;
-      for (int m : col_members(grid, c)) volume += 16 * ly[m].nnz();
+      for (int m : col_members(grid, c)) {
+        for (int q = 0; q < k; ++q) volume += scatter_bytes * ly[q][m].nnz();
+      }
       reduce_scatter(grid, col_members(grid, c), volume,
                      CollectiveAlgo::kTree);
     }
     grid.barrier_all();
   }
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    finalize_owner(ctx, yspa[ctx.locale()], y, mask, mask_mode);
+    for (int q = 0; q < k; ++q) {
+      detail::finalize_owner(
+          ctx, yspa[q][ctx.locale()], y[q],
+          masks.empty() ? nullptr : masks[static_cast<std::size_t>(q)],
+          mask_mode);
+    }
   });
   scatter_span.end();
   {
@@ -752,28 +872,26 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   return y;
 }
 
-}  // namespace detail
-
-/// Distributed SpMSpV, unmasked.
+/// Distributed SpMSpV, unmasked: the width-1 wave.
 template <typename TA, typename T, typename SR>
 DistSparseVec<T> spmspv_dist(const DistCsr<TA>& a,
                              const DistSparseVec<T>& x, const SR& sr,
                              const SpmspvOptions& opt = {}) {
-  return detail::spmspv_dist_impl(a, x, sr, opt, nullptr, MaskMode::kNone);
+  return std::move(
+      spmspv_dist_multi<TA, T>(a, {&x}, {}, MaskMode::kNone, sr, opt).front());
 }
 
 /// Distributed SpMSpV with a fused dense Boolean mask (optionally
 /// complemented): output entries failing the mask are dropped at their
-/// owner before the result vector is built.
+/// owner before the result vector is built. The width-1 masked wave.
 template <typename TA, typename T, typename SR>
 DistSparseVec<T> spmspv_dist_masked(const DistCsr<TA>& a,
                                     const DistSparseVec<T>& x,
                                     const DistDenseVec<std::uint8_t>& mask,
                                     MaskMode mode, const SR& sr,
                                     const SpmspvOptions& opt = {}) {
-  PGB_REQUIRE_SHAPE(mask.size() == a.ncols(),
-                    "spmspv: mask size must equal matrix columns");
-  return detail::spmspv_dist_impl(a, x, sr, opt, &mask, mode);
+  return std::move(
+      spmspv_dist_multi<TA, T>(a, {&x}, {&mask}, mode, sr, opt).front());
 }
 
 }  // namespace pgb

@@ -255,7 +255,9 @@ class Checkpoint {
             std::size_t& off, void* out, std::size_t n) const {
     PGB_REQUIRE(off + n <= blk.bytes.size(),
                 "checkpoint: '" + key + "' block truncated");
-    std::memcpy(out, blk.bytes.data() + off, n);
+    // An empty piece reads into an empty vector, whose data() may be
+    // null: memcpy's pointers must be valid even for zero bytes.
+    if (n > 0) std::memcpy(out, blk.bytes.data() + off, n);
     off += n;
   }
 

@@ -142,7 +142,7 @@ State run_with_rebuild(LocaleGrid& grid, FaultPlan* plan,
         t_safe = grid.time();
         if (report != nullptr) ++report->checkpoints;
       }
-      if (report != nullptr) report->replica_bytes = store->shipped_bytes();
+      if (report != nullptr) report->replica_bytes += store->shipped_bytes();
       return std::move(*state);
     } catch (const LocaleFailed& lf) {
       ++failures;

@@ -42,9 +42,11 @@ struct RecoveryOptions {
 };
 
 /// Structured outcome of a recovered run, shared by the rollback driver
-/// here and the localized-rebuild driver (fault/rebuild.hpp). `pgb`
-/// prints summary() in its fault summary; the abl_recovery ablation
-/// compares sim_time_lost across recovery paths.
+/// here and the localized-rebuild driver (fault/rebuild.hpp). Counts and
+/// totals accumulate, so one report can be handed to many runs (the
+/// service executor shares one across batches); `mode` is the last
+/// run's. `pgb` prints summary() in its fault summary; the abl_recovery
+/// ablation compares sim_time_lost across recovery paths.
 struct RecoveryReport {
   const char* mode = "none";  ///< rollback | spare-rebuild | degraded
   int restarts = 0;           ///< global checkpoint rollbacks taken

@@ -23,7 +23,10 @@
 // grid.reset() closes silently instead of writing into the new epoch.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "runtime/locale_grid.hpp"
@@ -106,6 +109,59 @@ class LocaleSpan {
   int locale_;
   bool active_ = false;
   std::uint64_t epoch_ = 0;
+};
+
+/// Per-query "query.level" spans for one wave of a batched traversal.
+/// When the service executor bound lane tracks on the session
+/// (TraceSession::set_lane_tracks), end() puts one span on each added
+/// lane's query track, covering the wave from construction to end() and
+/// tagged with the round the lanes reached, the lane's own frontier, the
+/// wave width and the wave's comm delta. Without bound tracks every call
+/// is a no-op.
+class LaneLevelSpans {
+ public:
+  explicit LaneLevelSpans(LocaleGrid& grid) : grid_(grid) {
+    auto* session = grid.trace_session();
+    if (session == nullptr || !session->has_lane_tracks()) return;
+    session_ = session;
+    t0_ = grid.time();
+    const CommStats cs = grid.comm_stats();
+    msgs0_ = cs.messages;
+    bytes0_ = cs.bytes;
+  }
+
+  /// Lane `lane` joins the wave with `frontier` entries.
+  void add(int lane, std::int64_t frontier) {
+    if (session_ != nullptr) lanes_.push_back({lane, frontier});
+  }
+
+  /// Closes the wave at round `level` (lanes advance in lockstep).
+  void end(std::int64_t level) {
+    if (session_ == nullptr) return;
+    const double t1 = grid_.time();
+    const CommStats cs = grid_.comm_stats();
+    const TraceArgs extra{
+        {"d_messages", std::to_string(cs.messages - msgs0_)},
+        {"d_bytes", std::to_string(cs.bytes - bytes0_)}};
+    const std::string width = std::to_string(lanes_.size());
+    for (const auto& [lane, frontier] : lanes_) {
+      const int tr = session_->lane_track(lane);
+      if (tr < 0) continue;
+      session_->begin_span(tr, "query.level", t0_,
+                           {{"level", std::to_string(level)},
+                            {"frontier", std::to_string(frontier)},
+                            {"width", width}});
+      session_->end_span(tr, t1, extra);
+    }
+  }
+
+ private:
+  LocaleGrid& grid_;
+  TraceSession* session_ = nullptr;
+  double t0_ = 0.0;
+  std::int64_t msgs0_ = 0;
+  std::int64_t bytes0_ = 0;
+  std::vector<std::pair<int, std::int64_t>> lanes_;
 };
 
 /// Instant event on one locale's track (no-op without a session).

@@ -1,19 +1,19 @@
 // Batch executor: turns one formed batch into per-query results.
 //
-// BFS and SSSP batches run through the batched state machines
-// (bfs_batch / sssp_batch), whose per-level frontier exchange is the
-// fused multi-frontier SpMSpV — one comm schedule priced and paid per
-// level for the whole batch. Per-query results are byte-identical to
-// solo runs (see core/spmspv_multi.hpp for why).
+// BFS and SSSP batches step all their queries as the lanes of one
+// traversal (bfs_batch / sssp_batch), whose per-level frontier exchange is
+// one SpMSpV wave of width k — one comm schedule priced and paid per
+// level for the whole batch. A batch of one is the solo algorithm.
+// Per-query results are byte-identical to solo runs (see core/spmspv.hpp
+// for why).
 //
-// When a fault plan is attached, BFS and SSSP batches run under the PR-5
-// localized-rebuild driver (bfs_batch_with_rebuild /
-// sssp_batch_with_rebuild): a locale killed mid-batch is rebuilt from
+// When a fault plan is attached, BFS and SSSP batches run under the
+// localized-rebuild driver (bfs_with_rebuild / sssp_with_rebuild, which
+// take the batch's sources): a locale killed mid-batch is rebuilt from
 // replicas and the whole batch replays its last round bit-identical to
 // the fault-free run. The subgraph kinds (ego-net, pagerank-on-subgraph)
 // still run outside the rebuild driver — chaos traffic mixes should
-// stick to the frontier kinds (their solo recovery wrappers exist in
-// algo_recovery.hpp).
+// stick to the frontier kinds.
 //
 // The subgraph kinds bottom out on the same primitives: an ego-net is a
 // depth-capped BFS's reached set; pagerank-on-subgraph extracts the ego
@@ -123,15 +123,15 @@ inline std::vector<QueryResult> execute_batch(
     if (bound) qtrace->set_lane_tracks(std::move(tracks));
   }
 
+  std::vector<Index> sources;
+  sources.reserve(batch.size());
+  for (const auto& q : batch) sources.push_back(q.spec.source);
   switch (kind) {
     case QueryKind::kBfs: {
-      std::vector<Index> sources;
-      sources.reserve(batch.size());
-      for (const auto& q : batch) sources.push_back(q.spec.source);
       std::vector<BfsResult> res =
           opt.plan != nullptr
-              ? bfs_batch_with_rebuild(g, sources, opt.spmspv, opt.plan,
-                                       opt.rebuild, opt.report)
+              ? bfs_with_rebuild(g, sources, opt.spmspv, opt.plan,
+                                 opt.rebuild, opt.report)
               : bfs_batch(g, sources, opt.spmspv);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].kind = kind;
@@ -140,13 +140,10 @@ inline std::vector<QueryResult> execute_batch(
       break;
     }
     case QueryKind::kSssp: {
-      std::vector<Index> sources;
-      sources.reserve(batch.size());
-      for (const auto& q : batch) sources.push_back(q.spec.source);
       std::vector<SsspResult> res =
           opt.plan != nullptr
-              ? sssp_batch_with_rebuild(g, sources, opt.spmspv, opt.plan,
-                                        opt.rebuild, opt.report)
+              ? sssp_with_rebuild(g, sources, opt.spmspv, opt.plan,
+                                  opt.rebuild, opt.report)
               : sssp_batch(g, sources, opt.spmspv);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].kind = kind;

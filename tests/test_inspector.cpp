@@ -416,7 +416,7 @@ TEST(InspectorRecovery, KillDegradedRemapBitIdenticalUnderAuto) {
     FaultPlan plan(FaultSpec::parse(faults), 21);
     RebuildOptions bopt;  // degraded by default
     RecoveryReport report;
-    auto res = bfs_with_rebuild(a, 0, opt, &plan, bopt, &report);
+    auto res = bfs_with_rebuild(a, {0}, opt, &plan, bopt, &report)[0];
     return std::make_tuple(res, grid.time(), report.rebuilds);
   };
   const auto [r1, t1, n1] = chaos();

@@ -276,7 +276,7 @@ RebuildRun run_bfs_rebuild(LocaleGrid& grid, const DistCsr<double>& a,
   RebuildOptions bopt;
   bopt.mode = rmode;
   RebuildRun out;
-  out.res = bfs_with_rebuild(a, 0, opt, &plan, bopt, &out.report);
+  out.res = bfs_with_rebuild(a, {0}, opt, &plan, bopt, &out.report)[0];
   out.time = grid.time();
   out.messages = grid.hot().messages->value;
   return out;
@@ -329,7 +329,8 @@ TEST(Rebuild, SsspDegradedBitIdentical) {
       FaultSpec::parse("kill:locale=2,at=" + std::to_string(total * 0.5)), 3);
   RebuildOptions bopt;  // degraded by default
   RecoveryReport report;
-  const SsspResult rec = sssp_with_rebuild(a, 0, {}, &plan, bopt, &report);
+  const SsspResult rec =
+      sssp_with_rebuild(a, {0}, {}, &plan, bopt, &report)[0];
   EXPECT_EQ(rec.dist, base.dist);  // exact double equality
   EXPECT_EQ(rec.rounds, base.rounds);
   EXPECT_GE(report.rebuilds, 1);
@@ -368,7 +369,8 @@ TEST(Rebuild, FaultFreeRunMatchesPlainAndPricesReplication) {
 
   grid.reset();
   RecoveryReport report;
-  const BfsResult rec = bfs_with_rebuild(a, 0, {}, nullptr, {}, &report);
+  const BfsResult rec =
+      bfs_with_rebuild(a, {0}, {}, nullptr, {}, &report)[0];
   EXPECT_EQ(rec.parent, base.parent);
   EXPECT_EQ(rec.level_sizes, base.level_sizes);
   EXPECT_EQ(report.rebuilds, 0);
@@ -376,6 +378,39 @@ TEST(Rebuild, FaultFreeRunMatchesPlainAndPricesReplication) {
   EXPECT_GE(report.checkpoints, 1);   // per-round flush cadence
   EXPECT_GT(report.replica_bytes, 0);  // static + incremental replication
   EXPECT_GT(grid.metrics().counter("replica.flushes").value, 0);
+}
+
+TEST(Rebuild, ReportAccumulatesAcrossRuns) {
+  auto grid = LocaleGrid::square(4, 2);
+  auto a = erdos_renyi_dist<double>(grid, 800, 8.0, 11);
+  grid.reset();
+  bfs(a, 0, {});
+  const std::string kill =
+      "kill:locale=1,at=" + std::to_string(grid.time() * 0.4);
+  // Each run starts from a fresh grid under its own plan, so the two
+  // runs are the same whether or not they share a report.
+  auto run = [&](Index source, RecoveryReport* report) {
+    grid.reset();
+    FaultPlan plan(FaultSpec::parse(kill), 21);
+    bfs_with_rebuild(a, {source}, {}, &plan, {}, report);
+  };
+  RecoveryReport first, second, shared;
+  run(0, &first);
+  run(7, &second);
+  run(0, &shared);
+  run(7, &shared);
+  ASSERT_GE(first.rebuilds, 1);
+  ASSERT_GT(second.replica_bytes, 0);
+  EXPECT_EQ(shared.rebuilds, first.rebuilds + second.rebuilds);
+  EXPECT_EQ(shared.checkpoints, first.checkpoints + second.checkpoints);
+  EXPECT_EQ(shared.replica_bytes, first.replica_bytes + second.replica_bytes);
+  EXPECT_EQ(shared.bytes_restored,
+            first.bytes_restored + second.bytes_restored);
+  EXPECT_EQ(shared.rounds_replayed,
+            first.rounds_replayed + second.rounds_replayed);
+  EXPECT_EQ(shared.degraded_locales,
+            first.degraded_locales + second.degraded_locales);
+  EXPECT_EQ(shared.sim_time_lost, first.sim_time_lost + second.sim_time_lost);
 }
 
 TEST(Rebuild, SecondFailureTakingTheBuddyRethrows) {
@@ -395,7 +430,7 @@ TEST(Rebuild, SecondFailureTakingTheBuddyRethrows) {
                      ";kill:locale=3,at=" + std::to_string(total * 0.3)),
                  3);
   RebuildOptions bopt;
-  EXPECT_THROW(bfs_with_rebuild(a, 0, {}, &plan, bopt), LocaleFailed);
+  EXPECT_THROW(bfs_with_rebuild(a, {0}, {}, &plan, bopt), LocaleFailed);
   // Even on the throwing path, the guard restored the grid.
   EXPECT_FALSE(grid.membership().remapped());
   EXPECT_EQ(grid.fault_plan(), nullptr);

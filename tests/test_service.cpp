@@ -264,12 +264,47 @@ TEST(BatcherTest, SubgraphKindsRunSolo) {
 // Fused waves: byte identity + strictly cheaper
 // ---------------------------------------------------------------------
 
+/// Modeled cost of one run from a fresh grid: the grid time, every host
+/// clock and the comm counters.
+struct RunCost {
+  double time = 0.0;
+  std::vector<double> clocks;
+  CommStats comm;
+};
+
+template <typename Run>
+RunCost run_cost(LocaleGrid& grid, Run run) {
+  grid.reset();
+  run();
+  RunCost c;
+  c.time = grid.time();
+  for (int h = 0; h < grid.num_locales(); ++h) {
+    c.clocks.push_back(grid.clock(h).now());
+  }
+  c.comm = grid.comm_stats();
+  return c;
+}
+
+/// A width-1 batch is the solo call: identical clocks and traffic.
+void expect_same_cost(const RunCost& solo, const RunCost& batch,
+                      CommMode mode) {
+  const int m = static_cast<int>(mode);
+  EXPECT_EQ(batch.time, solo.time) << "mode=" << m;
+  EXPECT_EQ(batch.clocks, solo.clocks) << "mode=" << m;
+  EXPECT_EQ(batch.comm.messages, solo.comm.messages) << "mode=" << m;
+  EXPECT_EQ(batch.comm.bytes, solo.comm.bytes) << "mode=" << m;
+  EXPECT_EQ(batch.comm.bulks, solo.comm.bulks) << "mode=" << m;
+  EXPECT_EQ(batch.comm.agg_flushes, solo.comm.agg_flushes) << "mode=" << m;
+}
+
+constexpr CommMode kAllModes[] = {CommMode::kFine, CommMode::kBulk,
+                                  CommMode::kAggregated, CommMode::kAuto};
+
 TEST(BatchFusionTest, BfsBatchByteIdenticalToSoloAcrossCommModes) {
   auto grid = LocaleGrid::square(4, 2);
   auto a = erdos_renyi_dist<double>(grid, 1500, 6.0, 5);
   const std::vector<Index> sources = {0, 17, 400, 1499};
-  for (const CommMode mode : {CommMode::kFine, CommMode::kBulk,
-                              CommMode::kAggregated, CommMode::kAuto}) {
+  for (const CommMode mode : kAllModes) {
     SpmspvOptions opt;
     opt.comm = mode;
     std::vector<BfsResult> solo;
@@ -285,6 +320,17 @@ TEST(BatchFusionTest, BfsBatchByteIdenticalToSoloAcrossCommModes) {
           << "mode=" << static_cast<int>(mode) << " lane " << i;
       EXPECT_EQ(batch[i].level_sizes, solo[i].level_sizes);
     }
+
+    // Width 1: the batch pays exactly what the solo call pays (no lane
+    // tag on the wire, the same replica-cache offer under auto).
+    std::vector<BfsResult> one;
+    const RunCost solo_cost =
+        run_cost(grid, [&] { bfs(a, sources[1], opt); });
+    const RunCost batch_cost =
+        run_cost(grid, [&] { one = bfs_batch(a, {sources[1]}, opt); });
+    expect_same_cost(solo_cost, batch_cost, mode);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].parent, solo[1].parent);
   }
 }
 
@@ -292,8 +338,7 @@ TEST(BatchFusionTest, SsspBatchByteIdenticalToSolo) {
   auto grid = LocaleGrid::square(4, 2);
   auto a = erdos_renyi_dist<double>(grid, 1200, 6.0, 9);
   const std::vector<Index> sources = {3, 250, 1100};
-  for (const CommMode mode :
-       {CommMode::kFine, CommMode::kAggregated, CommMode::kAuto}) {
+  for (const CommMode mode : kAllModes) {
     SpmspvOptions opt;
     opt.comm = mode;
     std::vector<SsspResult> solo;
@@ -308,7 +353,67 @@ TEST(BatchFusionTest, SsspBatchByteIdenticalToSolo) {
       EXPECT_EQ(batch[i].dist, solo[i].dist)
           << "mode=" << static_cast<int>(mode) << " lane " << i;
     }
+
+    std::vector<SsspResult> one;
+    const RunCost solo_cost =
+        run_cost(grid, [&] { sssp(a, sources[2], opt); });
+    const RunCost batch_cost =
+        run_cost(grid, [&] { one = sssp_batch(a, {sources[2]}, opt); });
+    expect_same_cost(solo_cost, batch_cost, mode);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].dist, solo[2].dist);
   }
+}
+
+/// Flags locale 1's host as a barrier straggler (a stalled exchange
+/// under a detection threshold), then detaches the plan.
+void flag_straggler(LocaleGrid& grid) {
+  FaultPlan plan(FaultSpec::parse("stall:locale=1,ms=5"), 1);
+  grid.set_fault_plan(&plan);
+  grid.set_straggler_threshold(1e-3);
+  grid.coforall_locales([&](LocaleCtx& ctx) {
+    ctx.remote_msgs((ctx.locale() + 1) % grid.num_locales(), 10, 16);
+  });
+  grid.barrier_all();
+  grid.set_fault_plan(nullptr);
+}
+
+TEST(BatchFusionTest, FusedWaveHonorsCollectivesAndShedding) {
+  auto grid = LocaleGrid::square(4, 2);
+  auto a = erdos_renyi_dist<double>(grid, 1500, 6.0, 5);
+  const std::vector<Index> sources = {0, 17, 400, 1499};
+  std::vector<BfsResult> solo;
+  for (const Index s : sources) {
+    grid.reset();
+    solo.push_back(bfs(a, s, {}));
+  }
+  auto expect_lanes_match = [&](const std::vector<BfsResult>& batch,
+                                const char* what) {
+    ASSERT_EQ(batch.size(), solo.size()) << what;
+    for (std::size_t i = 0; i < solo.size(); ++i) {
+      EXPECT_EQ(batch[i].parent, solo[i].parent) << what << " lane " << i;
+      EXPECT_EQ(batch[i].level_sizes, solo[i].level_sizes) << what;
+    }
+  };
+
+  // Tree collectives replace the point-to-point gather and scatter.
+  SpmspvOptions coll;
+  coll.use_collectives = true;
+  grid.reset();
+  expect_lanes_match(bfs_batch(a, sources, coll), "collectives");
+  const double coll_time = grid.time();
+  grid.reset();
+  bfs_batch(a, sources, {});
+  EXPECT_NE(coll_time, grid.time()) << "collectives schedule not charged";
+
+  // A flagged straggler sheds its local multiply to a row peer.
+  SpmspvOptions shed;
+  shed.straggler_shed = 0.4;
+  grid.reset();
+  flag_straggler(grid);
+  ASSERT_GE(grid.straggler_hits(1), 1);
+  expect_lanes_match(bfs_batch(a, sources, shed), "shed");
+  EXPECT_GE(grid.metrics().counter("spmspv.rebalanced").value, 1);
 }
 
 TEST(BatchFusionTest, FusedBatchCheaperThanSequentialSolo) {
@@ -356,13 +461,42 @@ TEST(BatchRecoveryTest, KillMidBatchRecoversBitIdentical) {
   RebuildOptions bopt;  // degraded by default
   RecoveryReport report;
   const std::vector<BfsResult> rec =
-      bfs_batch_with_rebuild(a, sources, opt, &plan, bopt, &report);
+      bfs_with_rebuild(a, sources, opt, &plan, bopt, &report);
   EXPECT_GE(report.rebuilds, 1);
   ASSERT_EQ(rec.size(), base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
     EXPECT_EQ(rec[i].parent, base[i].parent) << "lane " << i;
     EXPECT_EQ(rec[i].level_sizes, base[i].level_sizes);
   }
+}
+
+TEST(BatchRecoveryTest, BatchDoneInTheStepThatRetiresItsLastLane) {
+  auto grid = LocaleGrid::square(4, 2);
+  auto a = erdos_renyi_dist<double>(grid, 800, 3.0, 11);
+  const std::vector<Index> sources = {0, 99, 500};
+  SpmspvOptions opt;
+  opt.comm = CommMode::kAggregated;
+
+  // The deepest lane sets the batch's level count.
+  grid.reset();
+  const std::vector<BfsResult> lanes = bfs_batch(a, sources, opt);
+  std::size_t deepest = 0;
+  for (std::size_t i = 1; i < lanes.size(); ++i) {
+    if (lanes[i].level_sizes.size() > lanes[deepest].level_sizes.size()) {
+      deepest = i;
+    }
+  }
+
+  // One replica flush per step: a batch that took a trailing empty step
+  // would flush once more than its deepest lane run solo.
+  grid.reset();
+  RecoveryReport solo;
+  bfs_with_rebuild(a, {sources[deepest]}, opt, nullptr, {}, &solo);
+  grid.reset();
+  RecoveryReport batch;
+  bfs_with_rebuild(a, sources, opt, nullptr, {}, &batch);
+  EXPECT_GT(solo.checkpoints, 0);
+  EXPECT_EQ(batch.checkpoints, solo.checkpoints);
 }
 
 // ---------------------------------------------------------------------

@@ -283,7 +283,7 @@ int run(int argc, char** argv) {
     const BfsResult res =
         !plan.has_value() ? bfs(a, source, comm)
         : use_rebuild
-            ? bfs_with_rebuild(a, source, comm, &*plan, bopt, &report)
+            ? bfs_with_rebuild(a, {source}, comm, &*plan, bopt, &report)[0]
             : bfs_with_recovery(a, source, comm, &*plan, ropt, &report);
     Index reached = 0;
     for (Index s : res.level_sizes) reached += s;
@@ -322,7 +322,7 @@ int run(int argc, char** argv) {
     const SsspResult res =
         !plan.has_value() ? sssp(a, source, comm)
         : use_rebuild
-            ? sssp_with_rebuild(a, source, comm, &*plan, bopt, &report)
+            ? sssp_with_rebuild(a, {source}, comm, &*plan, bopt, &report)[0]
             : sssp_with_recovery(a, source, comm, &*plan, ropt, &report);
     Index reached = 0;
     for (double dv : res.dist) {
