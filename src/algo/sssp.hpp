@@ -9,6 +9,7 @@
 // wave.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <span>
 #include <string>
@@ -74,8 +75,9 @@ std::vector<SsspState> sssp_init(const DistCsr<T>& a,
 /// min-plus SpMSpV wave of width k = the number of active lanes. Each
 /// lane's improvement filter and next-frontier build run over that lane's
 /// data alone, so lane distances are byte-identical to solo sssp() runs.
-/// A lane retires at its fixed point (an empty frontier) or at the
-/// n-round cap; returns true once every lane has retired.
+/// A lane retires at the end of the round that reaches its fixed point
+/// (an empty next frontier) or the n-round cap; returns true once every
+/// lane has retired, in the step that retires the last one.
 template <typename T>
 bool sssp_step(const DistCsr<T>& a, std::span<SsspState> lanes,
                const SpmspvOptions& opt = {}) {
@@ -141,9 +143,11 @@ bool sssp_step(const DistCsr<T>& a, std::span<SsspState> lanes,
           std::move(imp_val[static_cast<std::size_t>(l)]));
     }
     ln.frontier = std::move(next);
+    if (ln.frontier.nnz() == 0 || ln.res.rounds >= n) ln.done = true;
   }
   lane_spans.end(round);
-  return false;  // lanes retire at the start of a round
+  return std::all_of(lanes.begin(), lanes.end(),
+                     [](const SsspState& ln) { return ln.done; });
 }
 
 /// One relaxation round of a single query (the width-1 wave); sets

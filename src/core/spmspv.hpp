@@ -134,6 +134,24 @@ inline void charge_spa_sort(LocaleCtx& ctx, SortAlgo algo, Index nnz,
   ctx.serial_region(sc.scaled(0.08));
 }
 
+/// Host SPA buffers reused across calls on this thread, one set per value
+/// type: a fresh SPA zeroes, and may page in, 8+ bytes per column on
+/// every call. Callers retarget() before use. The modeled machine still
+/// pays a per-call SPA allocation, as Chapel allocates isthere/localy
+/// per call.
+template <typename T>
+Spa<T>& block_spa() {
+  static thread_local Spa<T> spa;
+  return spa;
+}
+
+/// The per-lane, per-owner accumulators of the distributed scatter.
+template <typename T>
+std::vector<std::vector<Spa<T>>>& lane_spas() {
+  static thread_local std::vector<std::vector<Spa<T>>> spas;
+  return spas;
+}
+
 /// The SPA's entries whose index passes `keep`, in index order, as a
 /// vector of `capacity`.
 template <typename T, typename Keep>
@@ -303,7 +321,8 @@ SparseVec<T> spmspv_shm(LocaleCtx& ctx, const Csr<TA>& a, Index row_lo,
   // ---- Step 1: SPA merge of the selected rows ----
   obs::LocaleSpan spa_span(ctx, "spmspv.spa");
   double t0 = ctx.clock().now();
-  Spa<T> spa(col_lo, col_hi);
+  Spa<T>& spa = detail::block_spa<T>();
+  spa.retarget(col_lo, col_hi);
   Index visited = 0;
   for (Index p = 0; p < x.nnz(); ++p) {
     const Index r = x.index_at(p) - row_lo;
@@ -729,10 +748,14 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
   const auto& ydist = y.front().dist();
   // Per-lane accumulators: lane q's per-slot accumulation order is the
   // width-1 order (lanes never share a SPA slot).
-  std::vector<std::vector<Spa<T>>> yspa(static_cast<std::size_t>(k));
-  for (auto& lane : yspa) {
-    lane.reserve(static_cast<std::size_t>(nloc));
-    for (int o = 0; o < nloc; ++o) lane.emplace_back(ydist.lo(o), ydist.hi(o));
+  std::vector<std::vector<Spa<T>>>& yspa = detail::lane_spas<T>();
+  if (yspa.size() < static_cast<std::size_t>(k)) {
+    yspa.resize(static_cast<std::size_t>(k));
+  }
+  for (int q = 0; q < k; ++q) {
+    auto& lane = yspa[static_cast<std::size_t>(q)];
+    lane.resize(static_cast<std::size_t>(nloc));
+    for (int o = 0; o < nloc; ++o) lane[o].retarget(ydist.lo(o), ydist.hi(o));
   }
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();

@@ -21,19 +21,26 @@ Index poisson(Xoshiro256& rng, double d) {
 
 }  // namespace
 
-std::vector<Index> er_row_columns(Index n, double d, std::uint64_t seed,
-                                  Index row) {
+void er_row_columns(Index n, double d, std::uint64_t seed, Index row,
+                    std::vector<Index>& out) {
   Xoshiro256 rng(seed, static_cast<std::uint64_t>(row));
-  Index k = std::min(poisson(rng, d), n);
-  std::vector<Index> cols;
-  cols.reserve(static_cast<std::size_t>(k));
+  const Index k = std::min(poisson(rng, d), n);
+  const std::size_t base = out.size();
+  const std::size_t end = base + static_cast<std::size_t>(k);
   // Draw distinct columns; k << n so rejection terminates fast.
-  while (static_cast<Index>(cols.size()) < k) {
+  while (out.size() < end) {
     const Index c = static_cast<Index>(
         rng.next_below(static_cast<std::uint64_t>(n)));
-    auto it = std::lower_bound(cols.begin(), cols.end(), c);
-    if (it == cols.end() || *it != c) cols.insert(it, c);
+    auto it = std::lower_bound(
+        out.begin() + static_cast<std::ptrdiff_t>(base), out.end(), c);
+    if (it == out.end() || *it != c) out.insert(it, c);
   }
+}
+
+std::vector<Index> er_row_columns(Index n, double d, std::uint64_t seed,
+                                  Index row) {
+  std::vector<Index> cols;
+  er_row_columns(n, d, seed, row, cols);
   return cols;
 }
 

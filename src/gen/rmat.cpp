@@ -42,19 +42,9 @@ Csr<std::int64_t> rmat_csr(const RmatParams& p) {
 }
 
 DistCsr<std::int64_t> rmat_dist(LocaleGrid& grid, const RmatParams& p) {
-  // Route the deduplicated global matrix into blocks so the distributed
+  // Split the deduplicated global matrix into blocks so the distributed
   // matrix matches rmat_csr exactly.
-  Csr<std::int64_t> local = rmat_csr(p);
-  Coo<std::int64_t> coo(local.nrows(), local.ncols());
-  coo.reserve(static_cast<std::size_t>(local.nnz()));
-  for (Index r = 0; r < local.nrows(); ++r) {
-    auto cols = local.row_colids(r);
-    auto vals = local.row_values(r);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      coo.add(r, cols[k], vals[k]);
-    }
-  }
-  return DistCsr<std::int64_t>::from_coo(grid, coo);
+  return DistCsr<std::int64_t>::from_csr(grid, rmat_csr(p));
 }
 
 }  // namespace pgb

@@ -96,6 +96,18 @@ class Spa {
     nzinds_.clear();
   }
 
+  /// Clears what the last use touched and re-targets the SPA at
+  /// [lo, hi), keeping its buffers when the width is unchanged (stale
+  /// values are harmless: a first touch overwrites them).
+  void retarget(Index lo, Index hi) {
+    reset();
+    if (hi - lo == this->hi() - lo_) {
+      lo_ = lo;
+    } else {
+      *this = Spa(lo, hi);
+    }
+  }
+
  private:
   // Scanning costs ~2 ns a word, sorting k indices ~(k log k) compares;
   // on x86-64 the two cross between 4 and 8 words per touched index.

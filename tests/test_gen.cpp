@@ -2,7 +2,10 @@
 // local/distributed structural equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
@@ -85,19 +88,59 @@ TEST(ErdosRenyi, MeanDegreeApproximatesD) {
   EXPECT_TRUE(m.check_invariants());
 }
 
-TEST(ErdosRenyi, DistStructureEqualsLocalAcrossGrids) {
-  auto local = erdos_renyi_csr<int>(300, 4.0, 9);
-  for (int nloc : {2, 4, 6}) {
-    auto grid = LocaleGrid::square(nloc, 1);
-    auto dist = erdos_renyi_dist<int>(grid, 300, 4.0, 9);
-    EXPECT_EQ(dist.nnz(), local.nnz()) << nloc << " locales";
-    auto gathered = dist.to_local();
-    for (Index r = 0; r < 300; ++r) {
-      auto a = gathered.row_colids(r);
-      auto b = local.row_colids(r);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
+// Every block of `dist` holds exactly the entries of `local` in its row
+// and column range, row by row.
+template <typename T>
+void expect_blocks_match(const DistCsr<T>& dist, const Csr<T>& local) {
+  ASSERT_TRUE(dist.check_invariants());
+  EXPECT_EQ(dist.nnz(), local.nnz());
+  for (int l = 0; l < dist.grid().num_locales(); ++l) {
+    const auto& b = dist.block(l);
+    ASSERT_EQ(b.csr.nrows(), b.rhi - b.rlo);
+    for (Index r = b.rlo; r < b.rhi; ++r) {
+      std::vector<Index> want_c;
+      std::vector<T> want_v;
+      auto cols = local.row_colids(r);
+      auto vals = local.row_values(r);
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        if (cols[k] >= b.clo && cols[k] < b.chi) {
+          want_c.push_back(cols[k]);
+          want_v.push_back(vals[k]);
+        }
+      }
+      auto got_c = b.csr.row_colids(r - b.rlo);
+      auto got_v = b.csr.row_values(r - b.rlo);
+      ASSERT_EQ(std::vector<Index>(got_c.begin(), got_c.end()), want_c)
+          << "locale " << l << " row " << r;
+      ASSERT_EQ(std::vector<T>(got_v.begin(), got_v.end()), want_v);
     }
+  }
+}
+
+TEST(ErdosRenyi, RowColumnsAppendForm) {
+  std::vector<Index> buf{-1};
+  for (Index r = 0; r < 20; ++r) {
+    const std::size_t before = buf.size();
+    er_row_columns(1000, 8.0, 5, r, buf);
+    const auto fresh = er_row_columns(1000, 8.0, 5, r);
+    EXPECT_EQ(std::vector<Index>(buf.begin() + before, buf.end()), fresh);
+  }
+  EXPECT_EQ(buf.front(), -1);  // earlier contents untouched
+}
+
+TEST(ErdosRenyi, DistStructureEqualsLocalAcrossGrids) {
+  // 301 divides by none of the grid dimensions; 1x5, 3x2 and 4x2 are
+  // non-square, and 16 and 64 locales exercise many column blocks.
+  const Index n = 301;
+  auto local = erdos_renyi_csr<int>(n, 4.0, 9);
+  for (int nloc : {2, 4, 6, 16, 64}) {
+    auto grid = LocaleGrid::square(nloc, 1);
+    expect_blocks_match(erdos_renyi_dist<int>(grid, n, 4.0, 9), local);
+  }
+  for (auto [rows, cols] : {std::pair{1, 5}, std::pair{3, 2},
+                            std::pair{4, 2}, std::pair{5, 1}}) {
+    LocaleGrid grid(GridConfig{.rows = rows, .cols = cols});
+    expect_blocks_match(erdos_renyi_dist<int>(grid, n, 4.0, 9), local);
   }
 }
 
@@ -148,8 +191,35 @@ TEST(Rmat, DistMatchesLocal) {
   auto grid = LocaleGrid::square(4, 1);
   auto dist = rmat_dist(grid, p);
   auto local = rmat_csr(p);
-  EXPECT_EQ(dist.nnz(), local.nnz());
-  EXPECT_TRUE(dist.check_invariants());
+  expect_blocks_match(dist, local);
+}
+
+TEST(Rmat, FromCsrEqualsFromCoo) {
+  // Splitting the sorted local CSR must give the blocks the COO scatter
+  // builds, including with hub rows longer than the insertion-sort cut.
+  RmatParams p;
+  p.scale = 10;
+  auto local = rmat_csr(p);
+  Coo<std::int64_t> coo(local.nrows(), local.ncols());
+  for (Index r = 0; r < local.nrows(); ++r) {
+    auto cols = local.row_colids(r);
+    auto vals = local.row_values(r);
+    for (std::size_t k = 0; k < cols.size(); ++k) coo.add(r, cols[k], vals[k]);
+  }
+  for (auto [rows, cols] : {std::pair{1, 1}, std::pair{2, 3},
+                            std::pair{4, 4}, std::pair{8, 8}}) {
+    LocaleGrid grid(GridConfig{.rows = rows, .cols = cols});
+    auto a = DistCsr<std::int64_t>::from_csr(grid, local);
+    auto b = DistCsr<std::int64_t>::from_coo(grid, coo);
+    for (int l = 0; l < grid.num_locales(); ++l) {
+      const auto& x = a.block(l).csr;
+      const auto& y = b.block(l).csr;
+      ASSERT_TRUE(std::ranges::equal(x.rowptr(), y.rowptr())) << l;
+      ASSERT_TRUE(std::ranges::equal(x.colids(), y.colids())) << l;
+      ASSERT_TRUE(std::ranges::equal(x.values(), y.values())) << l;
+    }
+    expect_blocks_match(a, local);
+  }
 }
 
 }  // namespace

@@ -339,6 +339,28 @@ TEST(Rebuild, SsspDegradedBitIdentical) {
   EXPECT_GT(report.bytes_restored, 0);
 }
 
+TEST(Rebuild, SsspCheckpointsEqualRelaxationRounds) {
+  // A lane retires in the round that empties its frontier, so the
+  // driver flushes one checkpoint per relaxation round and no trailing
+  // empty step.
+  auto grid = LocaleGrid::square(16, 1);
+  auto a = erdos_renyi_dist<double>(grid, 20000, 8.0, 7);
+  for (const std::vector<Index>& sources :
+       {std::vector<Index>{0}, std::vector<Index>{0, 11, 523, 19999}}) {
+    grid.reset();
+    RecoveryReport report;
+    const std::vector<SsspResult> res =
+        sssp_with_rebuild(a, sources, {}, nullptr, {}, &report);
+    int rounds = 0;
+    for (std::size_t q = 0; q < sources.size(); ++q) {
+      EXPECT_EQ(res[q].dist, sssp(a, sources[q], {}).dist);
+      rounds = std::max(rounds, res[q].rounds);
+    }
+    EXPECT_GT(rounds, 1);
+    EXPECT_EQ(report.checkpoints, rounds) << sources.size() << " lanes";
+  }
+}
+
 TEST(Rebuild, PagerankParityDegradedBitIdentical) {
   auto grid = LocaleGrid::square(8, 2);
   auto a = erdos_renyi_dist<double>(grid, 600, 6.0, 17);

@@ -154,6 +154,94 @@ TEST(Coo, DuplicatesCombined) {
   EXPECT_EQ(sum.nnz(), 1);
 }
 
+// The whole-array build Coo::to_csr replaced: stable sort on (row, col),
+// then fold duplicates left.
+template <typename T, typename Combine>
+Csr<T> reference_to_csr(const Coo<T>& coo, Combine combine) {
+  std::vector<Triple<T>> s = coo.triples();
+  std::stable_sort(s.begin(), s.end(), [](const auto& a, const auto& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  std::vector<Index> rowptr(static_cast<std::size_t>(coo.nrows()) + 1, 0);
+  std::vector<Index> colids;
+  std::vector<T> vals;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (i > 0 && s[i - 1].row == s[i].row && s[i - 1].col == s[i].col) {
+      vals.back() = combine(vals.back(), s[i].val);
+    } else {
+      colids.push_back(s[i].col);
+      vals.push_back(s[i].val);
+      ++rowptr[static_cast<std::size_t>(s[i].row) + 1];
+    }
+  }
+  for (Index r = 0; r < coo.nrows(); ++r) rowptr[r + 1] += rowptr[r];
+  return Csr<T>::from_parts(coo.nrows(), coo.ncols(), std::move(rowptr),
+                            std::move(colids), std::move(vals));
+}
+
+template <typename T>
+void expect_same_csr(const Csr<T>& a, const Csr<T>& b) {
+  ASSERT_TRUE(std::ranges::equal(a.rowptr(), b.rowptr()));
+  ASSERT_TRUE(std::ranges::equal(a.colids(), b.colids()));
+  ASSERT_TRUE(std::ranges::equal(a.values(), b.values()));
+}
+
+TEST(Coo, ToCsrMatchesStableSortReference) {
+  // Rows and columns are drawn from a small range so duplicates are
+  // common; row 0 gets a long run so it takes the stable_sort branch
+  // while the others take the insertion-sort branch; nrows > the rows
+  // used leaves empty rows, including trailing ones.
+  const auto keep_last = [](std::int64_t, std::int64_t b) { return b; };
+  const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
+  const auto ordered = [](std::int64_t a, std::int64_t b) {
+    // Not commutative, so the folding order shows; the modulus keeps
+    // long duplicate runs from overflowing.
+    return (a * 31 + b) % 1000003;
+  };
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Index nrows = 1 + static_cast<Index>(rng() % 40);
+    const Index ncols = 1 + static_cast<Index>(rng() % 60);
+    const std::size_t ntriples = trial == 0 ? 0 : rng() % 400;
+    Coo<std::int64_t> coo(nrows, ncols);
+    const Index used_rows = std::max<Index>(1, nrows / 2);
+    for (std::size_t i = 0; i < ntriples; ++i) {
+      const Index r =
+          (i % 3 == 0) ? 0 : static_cast<Index>(rng() % used_rows);
+      coo.add(r, static_cast<Index>(rng() % ncols),
+              static_cast<std::int64_t>(rng() % 1000));
+    }
+    expect_same_csr(coo.to_csr(), reference_to_csr(coo, keep_last));
+    expect_same_csr(coo.to_csr(sum), reference_to_csr(coo, sum));
+    expect_same_csr(coo.to_csr(ordered), reference_to_csr(coo, ordered));
+  }
+}
+
+TEST(Coo, ToCsrLongRowWithDuplicates) {
+  // 100 entries in one row (stable_sort branch), every column thrice,
+  // inserted in descending order.
+  Coo<std::int64_t> coo(3, 40);
+  for (int rep = 0; rep < 3; ++rep) {
+    for (Index c = 33; c >= 0; --c) coo.add(1, c, 10 * rep + 1);
+  }
+  const auto ordered = [](std::int64_t a, std::int64_t b) {
+    return (a * 31 + b) % 1000003;
+  };
+  auto m = coo.to_csr(ordered);
+  expect_same_csr(m, reference_to_csr(coo, ordered));
+  EXPECT_EQ(m.row_nnz(0), 0);
+  EXPECT_EQ(m.row_nnz(1), 34);
+  EXPECT_EQ(*m.find(1, 5), (1 * 31 + 11) * 31 + 21);
+}
+
+TEST(Coo, ToCsrNoTriples) {
+  Coo<double> coo(5, 7);
+  auto m = coo.to_csr();
+  EXPECT_EQ(m.nnz(), 0);
+  EXPECT_EQ(m.nrows(), 5);
+  EXPECT_TRUE(m.check_invariants());
+}
+
 TEST(Spa, AccumulateCombinesOnRevisit) {
   Spa<double> spa(10, 20);
   auto add = [](double a, double b) { return a + b; };

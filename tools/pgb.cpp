@@ -221,12 +221,7 @@ int run(int argc, char** argv) {
     RmatParams p;
     p.scale = rmat_scale;
     p.seed = seed;
-    auto m = rmat_csr(p);
-    Coo<double> coo(m.nrows(), m.ncols());
-    for (Index r = 0; r < m.nrows(); ++r) {
-      for (Index c : m.row_colids(r)) coo.add(r, c, 1.0);
-    }
-    a = DistCsr<double>::from_coo(grid, coo);
+    a = DistCsr<double>::from_csr(grid, rmat_csr(p));
     std::printf("generated R-MAT: 2^%d vertices, %lld edges (symmetric)\n",
                 rmat_scale, static_cast<long long>(a.nnz()));
   } else {

@@ -34,8 +34,8 @@
 // Examples:
 //   pgb_serve --nodes=64 --tenants=3 --queries=48 --batch-max=16
 //   pgb_serve --deadline-ms=5 --quota=200 --breaker-k=4 --retry-max=3
-//   pgb_serve --mix=bfs:4,sssp:2 --faults=kill:locale=3,at=0.002 \
-//             --recovery=degraded --replica=buddy
+//   pgb_serve --mix=bfs:4,sssp:2 --faults=kill:locale=3,at=0.002
+//             --recovery=degraded --replica=buddy        (one command)
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -371,12 +371,7 @@ int run(int argc, char** argv) {
     RmatParams p;
     p.scale = rmat_scale;
     p.seed = seed;
-    auto m = rmat_csr(p);
-    Coo<double> coo(m.nrows(), m.ncols());
-    for (Index r = 0; r < m.nrows(); ++r) {
-      for (Index c : m.row_colids(r)) coo.add(r, c, 1.0);
-    }
-    a = DistCsr<double>::from_coo(grid, coo);
+    a = DistCsr<double>::from_csr(grid, rmat_csr(p));
     std::printf("generated R-MAT: 2^%d vertices, %lld edges (symmetric)\n",
                 rmat_scale, static_cast<long long>(a.nnz()));
   }
