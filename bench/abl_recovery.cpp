@@ -8,9 +8,10 @@
 // recovery granularity (the interrupted round is replayed by rollback
 // and rebuild alike):
 //   baseline     plain BFS — no fault plan, no protection;
-//   replication  fault-free BFS under the rebuild driver — isolates the
-//                cost of buddy replication (incremental update-log
-//                flushes at every phase boundary).
+//   replication  fault-free BFS under the recovery driver in degraded
+//                mode — isolates the cost of buddy replication
+//                (incremental update-log flushes at every phase
+//                boundary).
 //
 // Pagerank has uniform rounds, which is where recovery granularity
 // shows: rollback discards up to checkpoint_every rounds of work plus a
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
       grid.reset();
       RecoveryReport rs;
       const BfsResult res =
-          bfs_with_rebuild(a, {0}, {}, nullptr, {}, &rs)[0];
+          bfs_with_recovery(a, {0}, {}, nullptr, {}, &rs)[0];
       repl = record("replication", same_result(res, bfs_base), bfs_time, &rs);
     }
 
@@ -189,11 +190,12 @@ int main(int argc, char** argv) {
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RecoveryOptions ropt;
-      ropt.checkpoint_every = 8;
+      RecoveryPolicy policy;
+      policy.mode = RebuildMode::kRollback;
+      policy.checkpoint_every = 8;
       RecoveryReport rs;
-      const PagerankResult res =
-          pagerank_with_recovery(a, &plan, damping, tol, max_iters, ropt, &rs);
+      const PagerankResult res = pagerank_with_recovery(
+          a, &plan, damping, tol, max_iters, policy, &rs);
       rollback = record("rollback", same_result(res, pr_base), pr_time, &rs);
     }
 
@@ -203,33 +205,33 @@ int main(int argc, char** argv) {
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RebuildOptions bopt;
-      bopt.mode = RebuildMode::kSpare;
+      RecoveryPolicy policy;
+      policy.mode = RebuildMode::kSpare;
       RecoveryReport rs;
-      const PagerankResult res =
-          pagerank_with_rebuild(a, &plan, damping, tol, max_iters, bopt, &rs);
+      const PagerankResult res = pagerank_with_recovery(
+          a, &plan, damping, tol, max_iters, policy, &rs);
       spare = record("spare", same_result(res, pr_base), pr_time, &rs);
     }
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RebuildOptions bopt;
-      bopt.mode = RebuildMode::kDegraded;
+      RecoveryPolicy policy;
+      policy.mode = RebuildMode::kDegraded;
       RecoveryReport rs;
-      const PagerankResult res =
-          pagerank_with_rebuild(a, &plan, damping, tol, max_iters, bopt, &rs);
+      const PagerankResult res = pagerank_with_recovery(
+          a, &plan, damping, tol, max_iters, policy, &rs);
       degraded = record("degraded", same_result(res, pr_base), pr_time, &rs);
     }
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RebuildOptions bopt;
-      bopt.mode = RebuildMode::kDegraded;
-      bopt.replica.scheme = ReplicaScheme::kParity;
-      bopt.replica.parity_group = 4;
+      RecoveryPolicy policy;
+      policy.mode = RebuildMode::kDegraded;
+      policy.replica.scheme = ReplicaScheme::kParity;
+      policy.replica.parity_group = 4;
       RecoveryReport rs;
-      const PagerankResult res =
-          pagerank_with_rebuild(a, &plan, damping, tol, max_iters, bopt, &rs);
+      const PagerankResult res = pagerank_with_recovery(
+          a, &plan, damping, tol, max_iters, policy, &rs);
       record("degraded-par", same_result(res, pr_base), pr_time, &rs);
     }
 

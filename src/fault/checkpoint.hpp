@@ -125,10 +125,12 @@ class Checkpoint {
     return true;
   }
 
-  // -- writers (replace any previous entry under the same key) --
+  // -- writers, overloaded by block kind: distributed dense, distributed
+  //    sparse, host array, scalar (replace any previous entry under the
+  //    same key) --
 
   template <typename T>
-  void put_dense(const std::string& key, const DistDenseVec<T>& v) {
+  void put(const std::string& key, const DistDenseVec<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     CheckpointEntry e{key, {}};
     for (int l = 0; l < v.grid().num_locales(); ++l) {
@@ -142,7 +144,7 @@ class Checkpoint {
   }
 
   template <typename T>
-  void put_sparse(const std::string& key, const DistSparseVec<T>& v) {
+  void put(const std::string& key, const DistSparseVec<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     CheckpointEntry e{key, {}};
     for (int l = 0; l < v.grid().num_locales(); ++l) {
@@ -162,7 +164,7 @@ class Checkpoint {
 
   /// Host-side (replicated) array, e.g. a result's parent vector.
   template <typename T>
-  void put_host(const std::string& key, const std::vector<T>& v) {
+  void put(const std::string& key, const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     CheckpointEntry e{key, {}};
     CheckpointBlock blk{0, {}, 0};
@@ -175,7 +177,7 @@ class Checkpoint {
   }
 
   template <typename T>
-  void put_scalar(const std::string& key, const T& v) {
+  void put(const std::string& key, const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     CheckpointEntry e{key, {}};
     CheckpointBlock blk{0, {}, 0};
@@ -185,11 +187,11 @@ class Checkpoint {
     replace(std::move(e));
   }
 
-  // -- readers (throw on missing keys, shape mismatch, or a failed
-  //    block checksum) --
+  // -- readers, overloaded like the writers (throw on missing keys,
+  //    shape mismatch, or a failed block checksum) --
 
   template <typename T>
-  void get_dense(const std::string& key, DistDenseVec<T>& v) const {
+  void get(const std::string& key, DistDenseVec<T>& v) const {
     const CheckpointEntry& e = require(key);
     PGB_REQUIRE(static_cast<int>(e.blocks.size()) == v.grid().num_locales(),
                 "checkpoint: '" + key + "' was saved on a different grid");
@@ -203,7 +205,7 @@ class Checkpoint {
   }
 
   template <typename T>
-  void get_sparse(const std::string& key, DistSparseVec<T>& v) const {
+  void get(const std::string& key, DistSparseVec<T>& v) const {
     const CheckpointEntry& e = require(key);
     PGB_REQUIRE(static_cast<int>(e.blocks.size()) == v.grid().num_locales(),
                 "checkpoint: '" + key + "' was saved on a different grid");
@@ -222,26 +224,23 @@ class Checkpoint {
   }
 
   template <typename T>
-  std::vector<T> get_host(const std::string& key) const {
+  void get(const std::string& key, std::vector<T>& v) const {
     const CheckpointEntry& e = require(key);
     const CheckpointBlock& blk = check(e, 0);
     std::size_t off = 0;
     std::int64_t n = 0;
     read(blk, key, off, &n, sizeof(n));
-    std::vector<T> v(static_cast<std::size_t>(n));
+    v.resize(static_cast<std::size_t>(n));
     read(blk, key, off, v.data(), v.size() * sizeof(T));
-    return v;
   }
 
   template <typename T>
-  T get_scalar(const std::string& key) const {
+  void get(const std::string& key, T& v) const {
     const CheckpointEntry& e = require(key);
     const CheckpointBlock& blk = check(e, 0);
     PGB_REQUIRE(blk.bytes.size() == sizeof(T),
                 "checkpoint: '" + key + "' scalar size mismatch");
-    T v;
     std::memcpy(&v, blk.bytes.data(), sizeof(T));
-    return v;
   }
 
  private:
@@ -297,14 +296,15 @@ class Checkpoint {
   std::unordered_map<std::string, std::size_t> index_;
 };
 
+/// Modeled stable-store bandwidth, bytes/s (burst-buffer class).
+inline constexpr double kStableStoreBw = 5e9;
+
 /// Charges the simulated cost of writing `ckpt` to the stable store:
 /// each locale streams its own blocks through node memory (serialization)
-/// and ships them at `stable_bw` bytes/s, then all locales synchronize —
-/// a checkpoint is only durable once every block landed. Publishes
+/// and ships them at kStableStoreBw, then all locales synchronize — a
+/// checkpoint is only durable once every block landed. Publishes
 /// ckpt.saves / ckpt.bytes and a "checkpoint" span.
-inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt,
-                                   double stable_bw) {
-  PGB_REQUIRE(stable_bw > 0.0, "checkpoint: stable_bw must be positive");
+inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt) {
   PGB_TRACE_SPAN(grid, "checkpoint",
                  {{"dir", "save"},
                   {"round", std::to_string(ckpt.round)},
@@ -314,7 +314,7 @@ inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt,
   const double serialize_bw = grid.model().node.bw_core;
   for (int l = 0; l < grid.num_locales(); ++l) {
     const double b = static_cast<double>(ckpt.locale_bytes(l));
-    grid.clock(l).advance(b / serialize_bw + b / stable_bw);
+    grid.clock(l).advance(b / serialize_bw + b / kStableStoreBw);
   }
   grid.barrier_all();
 }
@@ -325,9 +325,7 @@ inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt,
 /// unchanging state (its matrix blocks). All clocks join at the end —
 /// restart is globally synchronous. Publishes ckpt.restores.
 inline void charge_checkpoint_restore(LocaleGrid& grid, const Checkpoint& ckpt,
-                                      double stable_bw,
                                       std::int64_t static_bytes) {
-  PGB_REQUIRE(stable_bw > 0.0, "checkpoint: stable_bw must be positive");
   PGB_TRACE_SPAN(grid, "checkpoint",
                  {{"dir", "restore"},
                   {"round", std::to_string(ckpt.round)},
@@ -337,9 +335,9 @@ inline void charge_checkpoint_restore(LocaleGrid& grid, const Checkpoint& ckpt,
   double slowest = 0.0;
   for (int l = 0; l < grid.num_locales(); ++l) {
     slowest = std::max(
-        slowest, static_cast<double>(ckpt.locale_bytes(l)) / stable_bw);
+        slowest, static_cast<double>(ckpt.locale_bytes(l)) / kStableStoreBw);
   }
-  slowest += static_cast<double>(static_bytes) / stable_bw;
+  slowest += static_cast<double>(static_bytes) / kStableStoreBw;
   for (int l = 0; l < grid.num_locales(); ++l) {
     grid.clock(l).advance_to(t0 + slowest);
   }

@@ -20,7 +20,8 @@
 //            the base re-replicates to the buddies.
 //
 // A locale kill mid-batch (LocaleFailed from the fault plane) triggers
-// degraded rebuild: the dead logical locale is remapped onto its
+// degraded rebuild through the recovery driver's core (retry_failover in
+// fault/recovery.hpp): the dead logical locale is remapped onto its
 // buddy's host, its base block is restored from the buddy's checksummed
 // copy, and the buddy's mirrored log pages are replayed past the last
 // durable (acknowledged) sequence number — torn or corrupt tail frames
@@ -40,6 +41,7 @@
 
 #include "fault/checkpoint.hpp"
 #include "fault/fault.hpp"
+#include "fault/recovery.hpp"
 #include "fault/replica.hpp"
 #include "ingest/delta_log.hpp"
 #include "obs/span.hpp"
@@ -118,8 +120,6 @@ struct IngestOptions {
   std::int64_t compact_every = 8192;
   /// Aggregation knobs for the delta routing path.
   AggConfig agg;
-  /// Give up (rethrow LocaleFailed) after this many kills in one apply.
-  int max_failures = 4;
 };
 
 struct IngestStats {
@@ -150,8 +150,6 @@ class IngestStream {
                 "ingest: need at least two locales for buddy mirroring");
     PGB_REQUIRE(opt_.compact_every >= 1,
                 "ingest: compact_every must be >= 1");
-    PGB_REQUIRE(opt_.max_failures >= 0,
-                "ingest: max_failures must be >= 0");
     const int n = grid_.num_locales();
     logs_.resize(static_cast<std::size_t>(n));
     mirror_.resize(static_cast<std::size_t>(n));
@@ -180,7 +178,11 @@ class IngestStream {
     PGB_TRACE_SPAN(grid_, "ingest.apply",
                    {{"seq", std::to_string(batch.seq)},
                     {"deltas", std::to_string(batch.deltas.size())}});
-    run_protected([&] { route_and_append(batch); });
+    // A kill inside any stage fails over in degraded mode; recover()
+    // restores the dead locale's ingest state, then the stage re-runs.
+    retry_failover(
+        grid_, RebuildMode::kDegraded, [&] { route_and_append(batch); },
+        [this](int logical, int) { recover(logical); });
     acked_seq_ = batch.seq;
     ++stats_.batches;
     std::int64_t ins = 0, del = 0;
@@ -218,7 +220,7 @@ class IngestStream {
     // Every stage below is individually idempotent (folds are last-write-
     // wins over already-identical prefixes; materialize overwrites), so a
     // kill inside any of them recovers and re-runs just that stage.
-    run_protected([&] {
+    retry_failover(grid_, RebuildMode::kDegraded, [&] {
       grid_.coforall_locales([&](LocaleCtx& ctx) {
         const int l = ctx.locale();
         std::int64_t folded = 0;
@@ -237,13 +239,13 @@ class IngestStream {
         c.add(CostKind::kRandAccess, static_cast<double>(folded));
         ctx.parallel_region(c);
       });
-    });
+    }, [this](int logical, int) { recover(logical); });
     applied_seq_ = acked_seq_;
 
     auto g = std::make_shared<DistCsr<double>>(grid_, base_.nrows(),
                                                base_.ncols());
     std::int64_t pending = 0;
-    run_protected([&] {
+    retry_failover(grid_, RebuildMode::kDegraded, [&] {
       pending = 0;  // a retried stage recounts from scratch
       grid_.coforall_locales([&](LocaleCtx& ctx) {
         const int l = ctx.locale();
@@ -262,13 +264,14 @@ class IngestStream {
           ctx.parallel_region(c);
         }
       });
-    });
+    }, [this](int logical, int) { recover(logical); });
     const std::uint64_t epoch = store_.publish(h_, g);
     ++stats_.publishes;
     grid_.metrics().counter("ingest.publishes").inc();
     bool compacted = false;
     if (pending >= opt_.compact_every) {
-      run_protected([&] { compact(*g); });
+      retry_failover(grid_, RebuildMode::kDegraded, [&] { compact(*g); },
+                     [this](int logical, int) { recover(logical); });
       compacted = true;
     }
     if (elog_ != nullptr) {
@@ -281,11 +284,11 @@ class IngestStream {
     return epoch;
   }
 
-  /// Recovery entry point for kills that land *outside* an ingest apply
-  /// (a query batch under run_with_rebuild): the rebuild driver has
-  /// already remapped the logical locale; this restores the ingest
-  /// state it carried — base block from the buddy's checksummed copy,
-  /// log pages from the buddy's mirror. Wire it through
+  /// Recovery entry point for kills that land *outside* an ingest stage
+  /// (a query batch under run_with_recovery): the driver has already
+  /// remapped the logical locale; this restores the ingest state it
+  /// carried — base block from the buddy's checksummed copy, log pages
+  /// from the buddy's mirror. Wire it through
   /// GraphService::set_rebuild_hook.
   void recover_after_rebuild(int logical) { recover(logical); }
 
@@ -322,40 +325,6 @@ class IngestStream {
     std::int64_t idx = 0;
     EdgeDelta d;
   };
-
-  /// Runs one idempotent stage to completion, surviving locale kills:
-  /// on LocaleFailed the dead logical locale is remapped onto its
-  /// buddy's host (degraded mode), its ingest state is restored from
-  /// the buddy (recover), and the stage re-runs from scratch. Rethrows
-  /// past the failure budget, without a fault plan, or when the buddy
-  /// is dead too (a second overlapping failure exceeds the replica
-  /// scheme's single-fault tolerance).
-  template <typename Fn>
-  void run_protected(Fn&& fn) {
-    int failures = 0;
-    for (;;) {
-      try {
-        fn();
-        return;
-      } catch (const LocaleFailed& lf) {
-        ++failures;
-        if (grid_.fault_plan() == nullptr || failures > opt_.max_failures) {
-          throw;
-        }
-        const int logical = lf.locale();
-        const int dead_host = grid_.host_of(logical);
-        const int new_host =
-            grid_.host_of(replica_buddy_of(logical, grid_.num_locales()));
-        if (new_host == dead_host ||
-            grid_.fault_plan()->is_down(new_host, grid_.time())) {
-          throw;
-        }
-        grid_.remap_locale(logical, new_host);
-        grid_.metrics().counter("recovery.restarts").inc();
-        recover(logical);
-      }
-    }
-  }
 
   void replicate_base() {
     const int n = grid_.num_locales();

@@ -8,12 +8,12 @@
 // for why).
 //
 // When a fault plan is attached, BFS and SSSP batches run under the
-// localized-rebuild driver (bfs_with_rebuild / sssp_with_rebuild, which
-// take the batch's sources): a locale killed mid-batch is rebuilt from
-// replicas and the whole batch replays its last round bit-identical to
-// the fault-free run. The subgraph kinds (ego-net, pagerank-on-subgraph)
-// still run outside the rebuild driver — chaos traffic mixes should
-// stick to the frontier kinds.
+// recovery driver (bfs_with_recovery / sssp_with_recovery, which take the
+// batch's sources) with the service's RecoveryPolicy: a locale killed
+// mid-batch is recovered and the whole batch replays from its last safe
+// point bit-identical to the fault-free run. The subgraph kinds (ego-net,
+// pagerank-on-subgraph) still run outside the driver — chaos traffic
+// mixes should stick to the frontier kinds.
 //
 // The subgraph kinds bottom out on the same primitives: an ego-net is a
 // depth-capped BFS's reached set; pagerank-on-subgraph extracts the ego
@@ -37,10 +37,10 @@ namespace pgb {
 
 struct ExecOptions {
   SpmspvOptions spmspv;
-  /// Optional fault plan: BFS and SSSP batches run under run_with_rebuild
-  /// so a kill mid-batch recovers through the degraded path.
+  /// Optional fault plan: BFS and SSSP batches run under the recovery
+  /// driver with this policy, so a kill mid-batch recovers.
   FaultPlan* plan = nullptr;
-  RebuildOptions rebuild;
+  RecoveryPolicy rebuild;
   /// Optional recovery telemetry sink (accumulated across batches).
   RecoveryReport* report = nullptr;
 };
@@ -130,8 +130,8 @@ inline std::vector<QueryResult> execute_batch(
     case QueryKind::kBfs: {
       std::vector<BfsResult> res =
           opt.plan != nullptr
-              ? bfs_with_rebuild(g, sources, opt.spmspv, opt.plan,
-                                 opt.rebuild, opt.report)
+              ? bfs_with_recovery(g, sources, opt.spmspv, opt.plan,
+                                  opt.rebuild, opt.report)
               : bfs_batch(g, sources, opt.spmspv);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].kind = kind;
@@ -142,8 +142,8 @@ inline std::vector<QueryResult> execute_batch(
     case QueryKind::kSssp: {
       std::vector<SsspResult> res =
           opt.plan != nullptr
-              ? sssp_with_rebuild(g, sources, opt.spmspv, opt.plan,
-                                  opt.rebuild, opt.report)
+              ? sssp_with_recovery(g, sources, opt.spmspv, opt.plan,
+                                   opt.rebuild, opt.report)
               : sssp_batch(g, sources, opt.spmspv);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].kind = kind;

@@ -67,10 +67,10 @@ struct ServiceConfig {
   int queue_depth = 64;
   int batch_max = 16;
   SpmspvOptions spmspv;
-  /// Optional fault plan + rebuild policy for kill-mid-batch recovery.
+  /// Optional fault plan + recovery policy for kill-mid-batch recovery.
   FaultPlan* plan = nullptr;
-  RebuildOptions rebuild;
-  /// Optional recovery telemetry sink (filled by the rebuild driver).
+  RecoveryPolicy rebuild;
+  /// Optional recovery telemetry sink (filled by the recovery driver).
   RecoveryReport* report = nullptr;
   /// Per-tenant sustained admission rate (queries per simulated second);
   /// 0 disables quotas.
@@ -158,12 +158,12 @@ class GraphService {
   }
   ServiceEventLog* event_log() { return elog_; }
 
-  /// Installs a recovery callback on the rebuild driver: called with the
-  /// dead logical locale after a degraded remap, before the interrupted
+  /// Installs a recovery callback on the recovery driver: called with
+  /// the dead logical locale after each failover, before the interrupted
   /// query batch resumes. The ingest stream registers its replay here so
   /// a kill landing inside a *query* batch still restores the delta log
-  /// and base mirror it carried (a kill inside an ingest apply is handled
-  /// by the stream's own retry loop).
+  /// and base mirror it carried (a kill inside an ingest stage fails over
+  /// through the same driver core with the stream's replay as its hook).
   void set_rebuild_hook(std::function<void(int logical)> hook) {
     cfg_.rebuild.on_rebuild = std::move(hook);
   }

@@ -15,6 +15,7 @@
 #include "algo/connected_components.hpp"
 #include "algo/pagerank.hpp"
 #include "fault/fault.hpp"
+#include "fault/recovery.hpp"
 #include "ingest/ingest.hpp"
 #include "service/event_log.hpp"
 #include "sparse/coo.hpp"
@@ -364,8 +365,8 @@ struct StreamRun {
 /// One scripted ingest run: `batches` seeded batches applied and
 /// published against the ring graph, optionally under a fault plan.
 StreamRun run_stream(FaultPlan* plan, int batches,
-                     std::int64_t compact_every = 1 << 30) {
-  auto grid = LocaleGrid::square(8, 2);
+                     std::int64_t compact_every = 1 << 30, int locales = 8) {
+  auto grid = LocaleGrid::square(locales, 2);
   const Coo<double> coo = base_coo(kN);
   auto a = DistCsr<double>::from_coo(grid, coo);
   GraphStore store;
@@ -424,6 +425,37 @@ TEST(IngestRecoveryTest, KillDuringCompactionRecoversBitIdentical) {
   const StreamRun killed = run_stream(&plan, 6, /*compact_every=*/1);
   EXPECT_EQ(killed.epoch_hashes, base.epoch_hashes);
   EXPECT_GE(killed.stats.replays, 1);
+}
+
+/// Kills `count` distinct locales 0, 1, ... of a 16-locale grid at the
+/// same moment. Their buddies (8, 9, ...) stay alive; the first stage
+/// past `at` meets every kill, one per dispatch, inside one stage call.
+std::string simultaneous_kills(int count, double at) {
+  std::string spec;
+  for (int l = 0; l < count; ++l) {
+    if (!spec.empty()) spec += ";";
+    spec += "kill:locale=" + std::to_string(l) + ",at=" + std::to_string(at);
+  }
+  return spec;
+}
+
+TEST(IngestRecoveryTest, BudgetKillsInOneStageRecoverBitIdentical) {
+  const StreamRun base = run_stream(nullptr, 6, 1 << 30, 16);
+  FaultPlan plan(FaultSpec::parse(simultaneous_kills(
+                     kMaxLocaleFailures, base.sim_time * 0.5)),
+                 5);
+  const StreamRun killed = run_stream(&plan, 6, 1 << 30, 16);
+  EXPECT_EQ(killed.epoch_hashes, base.epoch_hashes);
+  EXPECT_EQ(killed.stats.replays, kMaxLocaleFailures);
+  EXPECT_EQ(killed.replay_events, killed.stats.replays);
+}
+
+TEST(IngestRecoveryTest, OneKillPastTheBudgetRethrows) {
+  const StreamRun base = run_stream(nullptr, 6, 1 << 30, 16);
+  FaultPlan plan(FaultSpec::parse(simultaneous_kills(
+                     kMaxLocaleFailures + 1, base.sim_time * 0.5)),
+                 5);
+  EXPECT_THROW(run_stream(&plan, 6, 1 << 30, 16), LocaleFailed);
 }
 
 TEST(IngestRecoveryTest, RecoveryReadsReplicasNotThePrimary) {

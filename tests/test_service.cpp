@@ -458,10 +458,10 @@ TEST(BatchRecoveryTest, KillMidBatchRecoversBitIdentical) {
   FaultPlan plan(
       FaultSpec::parse("kill:locale=1,at=" + std::to_string(total * 0.4)),
       21);
-  RebuildOptions bopt;  // degraded by default
+  RecoveryPolicy policy;  // degraded by default
   RecoveryReport report;
   const std::vector<BfsResult> rec =
-      bfs_with_rebuild(a, sources, opt, &plan, bopt, &report);
+      bfs_with_recovery(a, sources, opt, &plan, policy, &report);
   EXPECT_GE(report.rebuilds, 1);
   ASSERT_EQ(rec.size(), base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -491,10 +491,10 @@ TEST(BatchRecoveryTest, BatchDoneInTheStepThatRetiresItsLastLane) {
   // would flush once more than its deepest lane run solo.
   grid.reset();
   RecoveryReport solo;
-  bfs_with_rebuild(a, {sources[deepest]}, opt, nullptr, {}, &solo);
+  bfs_with_recovery(a, {sources[deepest]}, opt, nullptr, {}, &solo);
   grid.reset();
   RecoveryReport batch;
-  bfs_with_rebuild(a, sources, opt, nullptr, {}, &batch);
+  bfs_with_recovery(a, sources, opt, nullptr, {}, &batch);
   EXPECT_GT(solo.checkpoints, 0);
   EXPECT_EQ(batch.checkpoints, solo.checkpoints);
 }

@@ -252,18 +252,15 @@ int run(int argc, char** argv) {
                 plan->spec().to_string().c_str(),
                 static_cast<unsigned long long>(fault_seed), retry_max);
   }
-  RecoveryOptions ropt;
-  ropt.checkpoint_every = checkpoint_every;
-  ropt.retry = retry;
-  const bool use_rebuild = recovery_flag != "rollback";
-  RebuildOptions bopt;
-  bopt.mode = recovery_flag == "rebuild" ? RebuildMode::kSpare
-                                         : RebuildMode::kDegraded;
-  bopt.replica.scheme = replica_flag == "parity" ? ReplicaScheme::kParity
-                                                 : ReplicaScheme::kBuddy;
-  bopt.replica.parity_group = parity_group;
-  bopt.replica.chunk_bytes = replica_chunk;
-  bopt.retry = retry;
+  RecoveryPolicy policy;
+  policy.mode = recovery_flag == "rollback"  ? RebuildMode::kRollback
+                : recovery_flag == "rebuild" ? RebuildMode::kSpare
+                                             : RebuildMode::kDegraded;
+  policy.checkpoint_every = checkpoint_every;
+  policy.replica.scheme = replica_flag == "parity" ? ReplicaScheme::kParity
+                                                   : ReplicaScheme::kBuddy;
+  policy.replica.parity_group = parity_group;
+  policy.replica.chunk_bytes = replica_chunk;
   RecoveryReport report;
 
   grid.reset();
@@ -276,10 +273,10 @@ int run(int argc, char** argv) {
     // rollback or localized rebuild per --recovery — which survives
     // locale kills with a bit-identical result.
     const BfsResult res =
-        !plan.has_value() ? bfs(a, source, comm)
-        : use_rebuild
-            ? bfs_with_rebuild(a, {source}, comm, &*plan, bopt, &report)[0]
-            : bfs_with_recovery(a, source, comm, &*plan, ropt, &report);
+        !plan.has_value()
+            ? bfs(a, source, comm)
+            : bfs_with_recovery(a, {source}, comm, &*plan, policy,
+                                &report)[0];
     Index reached = 0;
     for (Index s : res.level_sizes) reached += s;
     std::printf("bfs: reached %lld vertices in %zu levels\n",
@@ -299,10 +296,8 @@ int run(int argc, char** argv) {
   } else if (op == "pagerank") {
     const PagerankResult res =
         !plan.has_value() ? pagerank(a)
-        : use_rebuild
-            ? pagerank_with_rebuild(a, &*plan, 0.85, 1e-8, 100, bopt, &report)
-            : pagerank_with_recovery(a, &*plan, 0.85, 1e-8, 100, ropt,
-                                     &report);
+                          : pagerank_with_recovery(a, &*plan, 0.85, 1e-8, 100,
+                                                   policy, &report);
     Index best = 0;
     for (Index v = 1; v < a.nrows(); ++v) {
       if (res.rank[static_cast<std::size_t>(v)] >
@@ -315,10 +310,10 @@ int run(int argc, char** argv) {
                 res.rank[static_cast<std::size_t>(best)]);
   } else if (op == "sssp") {
     const SsspResult res =
-        !plan.has_value() ? sssp(a, source, comm)
-        : use_rebuild
-            ? sssp_with_rebuild(a, {source}, comm, &*plan, bopt, &report)[0]
-            : sssp_with_recovery(a, source, comm, &*plan, ropt, &report);
+        !plan.has_value()
+            ? sssp(a, source, comm)
+            : sssp_with_recovery(a, {source}, comm, &*plan, policy,
+                                 &report)[0];
     Index reached = 0;
     for (double dv : res.dist) {
       if (dv != SsspResult::kUnreachable) ++reached;
@@ -437,7 +432,9 @@ int run(int argc, char** argv) {
       // Recovery driver is part of the workload identity, but keep the
       // legacy string for the default (rollback) so existing committed
       // profiles still diff cleanly.
-      if (use_rebuild) workload += " recovery=" + recovery_flag;
+      if (policy.mode != RebuildMode::kRollback) {
+        workload += " recovery=" + recovery_flag;
+      }
     }
     prof.workload = workload;
     prof.comm = to_string(comm.comm);
